@@ -152,8 +152,7 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         mu = mu_exact(A, r[:, None]).mu
         if inject_failure:
             mu *= 0.5
-        kwf = kw_factorization(np.linalg.qr(A, mode="r")
-                               if m > n + 1 else A, "exact_A")
+        kwf = kw_factorization(A, "exact_A")
         At_r = A.T @ r
         norm_r = float(np.linalg.norm(r))
         p_star = lb_direction(kwf, At_r, norm_r, mu_est=mu)

@@ -127,27 +127,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    A = load_matrix(args.matrix)
-    m, n = A.shape
-    if (m, n) == GL7D12_SHAPE:
-        print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
-              "matrix GL7d12")
-
-    norm_A_2 = args.norm_a2
-    if norm_A_2 is None:
-        norm_A_2 = _power_spectral_norm(CountingOperator(A))
-
-    rng = np.random.default_rng(args.seed)
-    if args.rhs is not None:
-        b = load_dense(args.rhs).ravel()
-    else:
-        x_true = rng.standard_normal(n) / math.sqrt(n)
-        w = rng.standard_normal(m) / math.sqrt(m)
-        b = A @ x_true + 1e-4 * norm_A_2 * w
-
-    S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
-
+    # Built first so invalid solver flags fail before any work is done.
     config = SolverConfig(
         atol=args.atol,
         max_iters=args.max_iters,
@@ -156,8 +136,28 @@ def cmd_solve(args) -> int:
         refine_steps=args.refine_steps,
         compute_true_mu=(args.true_mu == "on"),
         theta=args.theta,
-        norm_A_2=norm_A_2,
+        norm_A_2=args.norm_a2,
     )
+    A = load_matrix(args.matrix)
+    m, n = A.shape
+    if (m, n) == GL7D12_SHAPE:
+        print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
+              "matrix GL7d12")
+
+    if config.norm_A_2 is None:
+        config = dataclasses.replace(
+            config, norm_A_2=_power_spectral_norm(CountingOperator(A)))
+
+    rng = np.random.default_rng(args.seed)
+    if args.rhs is not None:
+        b = load_dense(args.rhs).ravel()
+    else:
+        x_true = rng.standard_normal(n) / math.sqrt(n)
+        w = rng.standard_normal(m) / math.sqrt(m)
+        b = A @ x_true + 1e-4 * config.norm_A_2 * w
+
+    S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
+    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
     hooks = EstimatorHooks(kwf=kwf)
     x, trace, stop_reason = lsmr(A, b, config, hooks)
 

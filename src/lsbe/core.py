@@ -41,17 +41,22 @@ def _check_finite(M, name: str) -> None:
 
 
 class MatrixOperator:
-    """Minimal matvec/rmatvec view of a dense or sparse matrix."""
+    """Minimal matvec/rmatvec view of a dense or sparse matrix.
+
+    The transpose is bound once: for a sparse A, A.T builds a new matrix
+    object on every access.
+    """
 
     def __init__(self, A):
         self.A = A
+        self.At = A.T
         self.shape = A.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.A @ v
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return self.A.T @ u
+        return self.At @ u
 
 
 def as_operator(A):

@@ -38,17 +38,22 @@ class KWFactorization:
 
 
 def kw_factorization(M, source: str = "exact_A") -> KWFactorization:
-    """Build the factorization from a k x n matrix.
+    """Build the factorization from any k x n matrix, dense or sparse.
 
-    When k < n the matrix is padded with zero rows so the returned right
-    singular vectors always span all of R^n (the Gram matrix M'M is
-    unchanged by the padding).
+    Only the singular values and right singular vectors are kept.  When
+    k > n the matrix is first compressed to its n x n triangular factor R
+    (M = QR, so M'M = R'R and the kept data are unchanged); the SVD then
+    never forms the k x n left factors.  When k < n the matrix is padded
+    with zero rows so the right singular vectors always span all of R^n
+    (the Gram matrix M'M is unchanged by the padding).
     """
     if is_sparse(M):
         M = M.toarray()
     M = np.asarray(M, dtype=float)
     k, n = M.shape
-    if k < n:
+    if k > n:
+        M = np.linalg.qr(M, mode="r")
+    elif k < n:
         M = np.vstack([M, np.zeros((n - k, n))])
     _, s, Vt = np.linalg.svd(M, full_matrices=False)
     return KWFactorization(singular_values=s, right_vectors=Vt.T,
@@ -101,18 +106,13 @@ def _kw_eval(kwf: KWFactorization, At_r, norm_r: float) -> float:
 def kw(A, r_theta) -> float:
     """The regularized-norm estimate nu = ||(A'A + ||r||^2 I)^{-1/2} A'r||.
 
-    Always within a factor sqrt(2) below the true backward error.  A is
-    row-compressed by a QR factorization when m > n + 1; the value is
-    unchanged by rotation invariance.
+    Always within a factor sqrt(2) below the true backward error.
     """
     r = np.asarray(r_theta, dtype=float).ravel()
     if is_sparse(A):
         A = A.toarray()
     A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    At_r = A.T @ r
-    M = np.linalg.qr(A, mode="r") if m > n + 1 else A
-    return _kw_eval(kw_factorization(M, "exact_A"), At_r,
+    return _kw_eval(kw_factorization(A, "exact_A"), A.T @ r,
                     float(np.linalg.norm(r)))
 
 
@@ -125,9 +125,7 @@ def kw_multi(A, Rtheta) -> float:
     if is_sparse(A):
         A = A.toarray()
     A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    M = np.linalg.qr(A, mode="r") if m > n + 1 else A
-    kwf = kw_factorization(M, "exact_A")
+    kwf = kw_factorization(A, "exact_A")
     At_R = A.T @ Rtheta
     _, sR, Wt = np.linalg.svd(Rtheta, full_matrices=False)
     total = 0.0

@@ -149,13 +149,14 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
     trials > 0 the distortions are sampled over random directions, which
     scales to problems where the exact path is too expensive.
     """
-    Ad = A.toarray() if is_sparse(A) else np.asarray(A, dtype=float)
+    if not is_sparse(A):
+        A = np.asarray(A, dtype=float)
     if trials > 0:
         rng = np.random.default_rng(seed)
         lo, hi = np.inf, -np.inf
         for _ in range(trials):
-            y = rng.standard_normal(Ad.shape[1])
-            Ay = Ad @ y
+            y = rng.standard_normal(A.shape[1])
+            Ay = A @ y
             ny = float(np.linalg.norm(Ay))
             if ny == 0.0:
                 continue
@@ -163,6 +164,7 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
             lo, hi = min(lo, ratio), max(hi, ratio)
         return 1.0 - lo, hi - 1.0
 
+    Ad = A.toarray() if is_sparse(A) else A
     sv = np.linalg.svd(Ad, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= TOL_RANK * sv[0]:
         raise RankDeficient("exact distortion needs full column rank")

@@ -51,6 +51,10 @@ class SolverConfig:
             raise ValueError("atol must be positive")
         if self.estimate_every < 1:
             raise ValueError("estimate_every must be at least 1")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1 (or None)")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be nonnegative")
 
 
 TRACE_COLUMNS = [

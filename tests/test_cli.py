@@ -144,6 +144,16 @@ def test_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path / "t.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-iters", "0", "max_iters"),
+    ("--refine-steps", "-1", "refine_steps")])
+def test_solve_rejects_invalid_counts(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "t.csv"
+    assert main(["solve", TINY, flag, value, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_matrix_dense_array_format(tmp_path, rng):
     A = rng.standard_normal((4, 3))
     path = str(tmp_path / "dense.mtx")

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsbe import LSProblem, compress_pair, mu_exact, weighted_residual
+from lsbe import (LSProblem, MatrixOperator, compress_pair, mu_exact,
+                  weighted_residual)
 from lsbe.errors import DimensionMismatch, RankDeficient
 from lsbe.pencil import tr_minus
 
@@ -135,3 +137,20 @@ def test_right_rotation_invariance(seed):
     mu = mu_exact(A, wr.Rtheta).mu
     mu_rot = mu_exact(A, wr_rot.Rtheta).mu
     assert mu_rot == pytest.approx(mu, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csc", "csr", "coo", "dense"])
+def test_matrix_operator_rmatvec(rng, monkeypatch, fmt):
+    A = sp.random(30, 7, density=0.3, format="csc",
+                  random_state=np.random.RandomState(3))
+    A = A.toarray() if fmt == "dense" else A.asformat(fmt)
+    U = rng.standard_normal((3, 30))
+    expected = [A.T @ u for u in U]
+    op = MatrixOperator(A)
+    if fmt != "dense":
+        # The transpose is bound at construction; products build no new one.
+        def no_transpose(self, *args, **kwargs):
+            raise AssertionError("transpose built per product")
+        monkeypatch.setattr(type(A), "transpose", no_transpose)
+    for u, ref in zip(U, expected):
+        assert np.array_equal(op.rmatvec(u), ref)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from lsbe.core import as_operator
 from lsbe.errors import BothZero, ShiftNotPD, ZeroDeflator
 from lsbe.sketch import SketchOperator, apply_sketch, measure_distortion
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, random_orthonormal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,11 +69,34 @@ def test_kw_ratio_window(rng):
 
 
 def test_kw_compressed_equals_uncompressed(rng):
-    A = rng.standard_normal((30, 4))  # m > n + 1 triggers compression
+    A = rng.standard_normal((30, 4))  # m > n: factored through its R
     r = rng.standard_normal(30)
     direct = np.linalg.norm(np.linalg.solve(
         np.linalg.cholesky(A.T @ A + (r @ r) * np.eye(4)), A.T @ r))
     assert kw(A, r) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [60, 9, 8, 5])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kw_factorization_matches_uncompressed_svd(rng, k, sparse):
+    # Tall (QR-compressed), one extra row, square and wide (zero-padded)
+    # inputs with distinct singular values give the singular values and
+    # right vectors of the direct SVD of M.
+    n = 8
+    r = min(k, n)
+    s_true = np.linspace(2.0, 0.5, r)
+    M = (random_orthonormal(rng, k, r) * s_true) @ random_orthonormal(
+        rng, n, r).T
+    _, s_ref, Vt_ref = np.linalg.svd(M, full_matrices=False)
+    kwf = kw_factorization(sp.csc_matrix(M) if sparse else M)
+    s, V = kwf.singular_values, kwf.right_vectors
+    assert s.shape == (n,) and V.shape == (n, n)
+    assert np.allclose(s[:r], s_ref[:r], rtol=1e-13, atol=0)
+    assert np.all(s[r:] == 0.0)
+    V_ref = Vt_ref[:r].T
+    signs = np.sign(np.sum(V[:, :r] * V_ref, axis=0))
+    assert np.allclose(V[:, :r] * signs, V_ref, rtol=0, atol=1e-12)
+    assert np.allclose(V.T @ V, np.eye(n), rtol=0, atol=1e-13)
 
 
 def test_kw_multi_reduces_to_kw(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from lsbe.errors import RankDeficient, ShapeMismatch
 from lsbe.sketch import (SketchOperator, _sparse_sign_matrix, apply_sketch,
@@ -125,6 +126,22 @@ def test_sampled_distortion_within_exact(rng):
     lo_s, hi_s = measure_distortion(S, A, trials=200, seed=1)
     assert lo_s <= lo_exact + 1e-12
     assert hi_s <= hi_exact + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+def test_sampled_distortion_sparse_equals_dense(rng, monkeypatch, kind):
+    A = sp.random(200, 8, density=0.2, format="csc",
+                  random_state=np.random.RandomState(4)) + sp.eye(200, 8)
+    A = sp.csc_matrix(A)
+    S = SketchOperator(kind=kind, rows=48, cols=200, seed=2)
+    dense = measure_distortion(S, A.toarray(), trials=50, seed=7)
+
+    # The sampled path works with products A @ y and never densifies A.
+    def no_toarray(self, *args, **kwargs):
+        raise AssertionError("sampled distortion densified A")
+    monkeypatch.setattr(type(A), "toarray", no_toarray)
+    sparse = measure_distortion(S, A, trials=50, seed=7)
+    assert sparse == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 def test_gaussian_distortion_below_one_over_seeds():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import scipy.sparse as sp
 from lsbe import (EstimatorHooks, SolverConfig, TraceRow, kw_factorization,
                   lsmr, mu_exact, recycle_policy)
 from lsbe.estimates import RecycledDirection
+from lsbe.fileio import read_trace_csv
+from lsbe.solver import TRACE_COLUMNS
 from lsbe.sketch import SketchOperator, apply_sketch
 
 
@@ -223,3 +226,46 @@ def test_config_validation():
         SolverConfig(atol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(estimate_every=0)
+    for bad in ({"max_iters": 0}, {"max_iters": -3}, {"refine_steps": -1}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    assert SolverConfig(max_iters=1, refine_steps=0).max_iters == 1
+
+
+# Reference rows for _regression_run, written by a version that took the
+# SVD of the full sketch and built A' for every product.  Factoring through
+# R and binding A' once must reproduce them.
+REGRESSION_TRACE = os.path.join(os.path.dirname(__file__), "data",
+                                "lsmr_trace_400x40.csv")
+
+
+def _regression_run():
+    """Seeded 400x40 sparse CSC least-squares problem through lsmr with a
+    Gaussian 6n sketch, a row every iteration and one refinement step."""
+    rng = np.random.default_rng(0x1A5B)
+    m, n, nnz = 400, 40, 1200
+    rows = rng.integers(0, m, nnz)
+    cols = rng.integers(0, n, nnz)
+    A = sp.csc_matrix((rng.standard_normal(nnz), (rows, cols)), shape=(m, n))
+    A = (A + sp.eye(m, n, format="csc")) @ sp.diags(np.logspace(0, -2, n))
+    A = sp.csc_matrix(A)
+    b = A @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m)
+    config = SolverConfig(atol=1e-10, estimate_every=1, refine_steps=1,
+                          compute_true_mu=True, max_iters=60)
+    return lsmr(A, b, config, _sketch_hooks(A))[1]
+
+
+def test_trace_regression_sparse_gaussian_sketch():
+    rows = _regression_run().rows
+    ref = read_trace_csv(REGRESSION_TRACE)
+    assert len(rows) == len(ref) == 60
+    for got, want in zip(rows, ref):
+        for col in TRACE_COLUMNS:
+            g, w = getattr(got, col), getattr(want, col)
+            if col in ("iter", "matvec_count", "rmatvec_count"):
+                assert g == w, (got.iter, col)
+            elif math.isnan(w):
+                assert math.isnan(g), (got.iter, col)
+            else:
+                assert g == pytest.approx(w, rel=1e-12, abs=0), (got.iter, col)
+
