@@ -25,7 +25,7 @@ from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
 from .estimates import (kw, kw_factorization, kw_multi, lb_direction,
                         lb_evaluate, pair_basis, sketched_kw, ub_deflation,
                         ub_generous)
-from .exact import mu_all_methods, mu_exact
+from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, apply_sketch
 from .solver import CountingOperator, EstimatorHooks, SolverConfig, lsmr
@@ -75,18 +75,15 @@ def cmd_estimate(args) -> int:
     print(f"norm_r = {fmt_float(float(np.linalg.norm(wr.R)))}")
     print(f"norm_r_theta = {fmt_float(wr.norm_Rtheta)}")
 
-    methods = ([args.method] if args.method != "all"
-               else ["eig", "sigma-min", "fixed-point", "gevp"])
+    routes = {"eig": mu_exact, "sigma-min": mu_sigma_min,
+              "fixed-point": mu_fixed_point, "gevp": mu_gevp}
+    methods = [args.method] if args.method != "all" else list(routes)
     mu_values = {}
     for name in methods:
-        key = name.replace("-", "_")
-        if key == "eig":
-            mu_values[name] = mu_exact(A, wr.Rtheta).mu
+        if name != "eig" and d != 1:
+            print(f"mu[{name}] skipped (needs a single right-hand side)")
         else:
-            if d != 1:
-                print(f"mu[{name}] skipped (needs a single right-hand side)")
-                continue
-            mu_values[name] = mu_all_methods(A, wr.Rtheta[:, 0])[key].mu
+            mu_values[name] = routes[name](A, wr.Rtheta).mu
     for name, value in mu_values.items():
         print(f"mu[{name}] = {fmt_float(value)}")
 

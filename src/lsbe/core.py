@@ -1,4 +1,5 @@
-"""Least-squares problem containers, weighted residuals, and pair compression.
+"""Least-squares problem containers, weighted residuals, pair compression,
+and the retained SVD data shared by the estimates and the exact routes.
 
 The central objects are an approximate least-squares solution X for
 min ||AX - B||_F together with the weighted residual R_theta, which is the
@@ -212,3 +213,45 @@ def compress_pair(A, Rtheta) -> CompressedPair:
         return CompressedPair(TA=A.copy(), TR=Rtheta.copy(), normR=normR)
     T = np.linalg.qr(np.hstack([A, Rtheta]), mode="r")
     return CompressedPair(TA=T[:, :n], TR=T[:, n:], normR=normR)
+
+
+@dataclass(frozen=True, eq=False)
+class KWFactorization:
+    """Retained SVD data of A (or of a sketch SA): singular values and the
+    full set of right singular vectors.
+
+    This is the O(n^2)-per-evaluation backend for the regularized-norm
+    estimate, the lower-bound direction solves and the secular equation of
+    mu_fixed_point.  Immutable; safe to share across threads.
+    """
+
+    singular_values: np.ndarray
+    right_vectors: np.ndarray
+    source: str  # "exact_A" or "sketched_SA"
+
+    @property
+    def n(self) -> int:
+        return self.right_vectors.shape[0]
+
+
+def kw_factorization(M, source: str = "exact_A") -> KWFactorization:
+    """Build the factorization from any k x n matrix, dense or sparse.
+
+    Only the singular values and right singular vectors are kept.  When
+    k > n the matrix is first compressed to its n x n triangular factor R
+    (M = QR, so M'M = R'R and the kept data are unchanged); the SVD then
+    never forms the k x n left factors.  When k < n the matrix is padded
+    with zero rows so the right singular vectors always span all of R^n
+    (the Gram matrix M'M is unchanged by the padding).
+    """
+    if is_sparse(M):
+        M = M.toarray()
+    M = np.asarray(M, dtype=float)
+    k, n = M.shape
+    if k > n:
+        M = np.linalg.qr(M, mode="r")
+    elif k < n:
+        M = np.vstack([M, np.zeros((n - k, n))])
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return KWFactorization(singular_values=s, right_vectors=Vt.T,
+                           source=source)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compress_pair, is_sparse
+from .core import compress_pair, is_sparse, kw_factorization
 from .errors import NoConvergence, NotPositiveDefinite
 from .pencil import JSignature, j_pencil_eig, tr_minus
 
@@ -91,9 +91,6 @@ def mu_sigma_min(A, r_theta) -> MuResult:
     (n+1) x (2n+1) whenever m > n + 1.
     """
     r = _as_vector(r_theta)
-    if is_sparse(A):
-        A = A.toarray()
-    A = np.asarray(A, dtype=float)
     norm_r = float(np.linalg.norm(r))
     if norm_r == 0.0:
         return MuResult(mu=0.0, method="sigma_min")
@@ -106,7 +103,7 @@ def mu_sigma_min(A, r_theta) -> MuResult:
     return MuResult(mu=min(norm_r, smin), method="sigma_min")
 
 
-def mu_fixed_point(A, r_theta, tol: float = 1e-12, svd=None,
+def mu_fixed_point(A, r_theta, tol: float = 1e-12, kwf=None,
                    max_iters: int = 200) -> MuResult:
     """Single-right-hand-side backward error as the smallest nonnegative
     root of the secular equation
@@ -114,14 +111,16 @@ def mu_fixed_point(A, r_theta, tol: float = 1e-12, svd=None,
         t = sum_j (s_j b_j)^2 / (s_j^2 + ||r||^2 - t),   t = mu^2,
 
     where s_j are the singular values of A and b_j the coefficients of r
-    against the left singular vectors.  Solved by a Newton iteration
+    against the left singular vectors.  As A'r = V S U'r, s_j b_j = v_j'A'r,
+    so U is never formed.  Solved by a Newton iteration
     started at the value of the right-hand side at zero, safeguarded to
     stay inside [0, ||r||^2]; convergence is declared when the step falls
     below tol relative to the current root estimate, so relative accuracy
     is preserved even when mu is many orders below the data scale.
 
-    svd may carry a precomputed (U, s) pair for A, which the caller can
-    cache and share read-only across calls with different r_theta.
+    kwf may carry a precomputed kw_factorization of A (built here when
+    absent), which the caller can cache and share read-only across calls
+    with different r_theta; each call then costs O(nnz(A) + n^2).
 
     Raises NoConvergence after max_iters iterations.
     """
@@ -129,13 +128,13 @@ def mu_fixed_point(A, r_theta, tol: float = 1e-12, svd=None,
     norm_r = float(np.linalg.norm(r))
     if norm_r == 0.0:
         return MuResult(mu=0.0, method="fixed_point")
-    if svd is None:
-        Ad = A.toarray() if is_sparse(A) else np.asarray(A, dtype=float)
-        U, s, _ = np.linalg.svd(Ad, full_matrices=False)
-    else:
-        U, s = svd
-    coef = s * (U.T @ r)
-    keep = coef != 0.0
+    if kwf is None:
+        kwf = kw_factorization(A)
+    s = kwf.singular_values
+    At_r = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ r
+    coef = kwf.right_vectors.T @ At_r
+    # s_j = 0 also marks the zero rows kw_factorization pads in for wide A.
+    keep = (coef != 0.0) & (s != 0.0)
     coef2 = coef[keep] ** 2
     if coef2.size == 0:
         return MuResult(mu=0.0, method="fixed_point")

@@ -15,11 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_operator, is_sparse
+from .core import KWFactorization, as_operator, is_sparse, kw_factorization
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
-from .estimates import (KWFactorization, RecycledDirection, lb_direction,
-                        lb_refine, pair_basis, sketched_kw, ub_deflation,
-                        ub_generous)
+from .estimates import (RecycledDirection, lb_direction, lb_refine,
+                        pair_basis, sketched_kw, ub_deflation, ub_generous)
 from .exact import mu_exact, mu_fixed_point
 
 
@@ -31,7 +30,8 @@ class SolverConfig:
     estimate_every sets the trace cadence; recycle_threshold is compared
     against the recycled bound relative to ||A||_2; refine_steps counts
     refinement passes per trace row (0 disables); compute_true_mu adds the
-    exact backward error to each row (desk scale only: it densifies A);
+    exact backward error to each row (A is densified only while factored
+    at setup, keeping s and V; each row costs O(nnz + n^2));
     theta is the residual weighting, math.inf meaning normalization by
     ||x||.  norm_A_2 may supply a known spectral norm, otherwise it is
     estimated by power iteration at setup.
@@ -160,6 +160,9 @@ def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
 
 def _frobenius_norm(A) -> float | None:
     if is_sparse(A):
+        # Sum duplicates before squaring, on a copy that keeps CSR/CSC order.
+        A = A.copy() if hasattr(A, "sum_duplicates") else A.tocsr()
+        A.sum_duplicates()
         return float(np.sqrt(np.sum(A.data ** 2)))
     if isinstance(A, np.ndarray):
         return float(np.linalg.norm(A))
@@ -212,22 +215,21 @@ def _safe_rank_one(a, r) -> float:
 
 
 class _TrueMu:
-    """Cached-SVD exact backward error for trace rows.
+    """Exact backward error for trace rows from a cached factorization.
 
     The secular-equation route keeps full relative accuracy when mu is
     tiny, where the eigenvalue formula loses everything to cancellation
-    against ||r_theta||^2; the eigenvalue route remains as fallback.
+    against ||r_theta||^2; the eigenvalue route remains as fallback.  Only
+    the singular values and right singular vectors of A are kept.
     """
 
     def __init__(self, A):
-        Ad = A.toarray() if is_sparse(A) else np.asarray(A, dtype=float)
-        self.A = Ad
-        U, s, _ = np.linalg.svd(Ad, full_matrices=False)
-        self.svd = (U, s)
+        self.A = A
+        self.kwf = kw_factorization(A, "exact_A")
 
     def __call__(self, r_theta: np.ndarray) -> float:
         try:
-            return mu_fixed_point(self.A, r_theta, svd=self.svd).mu
+            return mu_fixed_point(self.A, r_theta, kwf=self.kwf).mu
         except NoConvergence:
             return mu_exact(self.A, r_theta[:, None]).mu
 

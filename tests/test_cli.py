@@ -6,6 +6,8 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+import lsbe.cli
+import lsbe.exact
 from lsbe import mu_all_methods, mu_exact, weighted_residual, LSProblem
 from lsbe.cli import main
 from lsbe.fileio import (TRACE_SCHEMA, load_dense, load_matrix,
@@ -74,6 +76,33 @@ def test_estimate_is_thin_wrapper(tmp_path, capsys, rng):
     expected = mu_all_methods(A, wr.Rtheta[:, 0])
     assert values["mu[eig]"] == pytest.approx(expected["eig"].mu, rel=1e-15)
     assert values["mu[gevp]"] == pytest.approx(expected["gevp"].mu, rel=1e-15)
+
+
+def test_estimate_all_calls_each_route_once(tmp_path, capsys, rng,
+                                            monkeypatch):
+    A = rng.standard_normal((10, 4))
+    b = rng.standard_normal(10)
+    x = rng.standard_normal(4)
+    paths = _write_instance(tmp_path, A, x, b)
+    routes = {"eig": "mu_exact", "sigma-min": "mu_sigma_min",
+              "fixed-point": "mu_fixed_point", "gevp": "mu_gevp"}
+    calls = dict.fromkeys(routes.values(), 0)
+    for fn_name in routes.values():
+        def counted(*args, _fn=getattr(lsbe.cli, fn_name), _key=fn_name,
+                    **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lsbe.cli, fn_name, counted)
+    assert main(["estimate", *paths]) == 0
+    assert calls == dict.fromkeys(routes.values(), 1)
+    values = _parse_report(capsys.readouterr().out)
+    A_loaded = load_matrix(paths[0])
+    wr = weighted_residual(LSProblem(A_loaded, load_dense(paths[2])),
+                           load_dense(paths[1]))
+    for name, fn_name in routes.items():
+        r = wr.Rtheta if name == "eig" else wr.Rtheta[:, 0]
+        direct = getattr(lsbe.exact, fn_name)(A_loaded, r).mu
+        assert values[f"mu[{name}]"] == direct, name
 
 
 def test_solve_smoke_and_csv_schema(tmp_path):

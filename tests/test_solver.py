@@ -9,7 +9,7 @@ from lsbe import (EstimatorHooks, SolverConfig, TraceRow, kw_factorization,
                   lsmr, mu_exact, recycle_policy)
 from lsbe.estimates import RecycledDirection
 from lsbe.fileio import read_trace_csv
-from lsbe.solver import TRACE_COLUMNS
+from lsbe.solver import TRACE_COLUMNS, _TrueMu
 from lsbe.sketch import SketchOperator, apply_sketch
 
 
@@ -82,6 +82,40 @@ def test_frobenius_norm_recorded(rng):
                        SolverConfig(estimate_every=100))
     assert trace.norm_A_fro == pytest.approx(np.linalg.norm(A), rel=1e-12)
     assert trace.norm_A_fro_source == "input"
+
+
+def _with_duplicates(rng, fmt):
+    """A 30x5 sparse matrix storing some entries as two summands."""
+    m, n = 30, 5
+    rows = np.repeat(np.arange(m), n)
+    cols = np.tile(np.arange(n), m)
+    dup = rng.random(m * n) < 0.3
+    rows = np.concatenate([rows, rows[dup]])
+    cols = np.concatenate([cols, cols[dup]])
+    data = rng.standard_normal(rows.size)
+    if fmt == "coo":
+        return sp.coo_matrix((data, (rows, cols)), shape=(m, n))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(m, n))
+
+
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+def test_frobenius_norm_sums_duplicates(rng, fmt):
+    A = _with_duplicates(rng, fmt)
+    assert not A.has_canonical_format
+    canonical = sp.csr_matrix(A.toarray())
+    b = rng.standard_normal(A.shape[0])
+    config = SolverConfig(atol=1e-8, estimate_every=100)
+    x, trace, stop = lsmr(A, b, config)
+    x_c, trace_c, stop_c = lsmr(canonical, b, config)
+    assert trace.norm_A_fro == pytest.approx(np.linalg.norm(A.toarray()),
+                                             rel=1e-15)
+    assert trace.norm_A_fro == pytest.approx(trace_c.norm_A_fro, rel=1e-15)
+    assert trace.norm_A_fro_source == "input"
+    assert (stop, trace.iterations) == (stop_c, trace_c.iterations)
+    np.testing.assert_allclose(x, x_c, rtol=1e-12)
+    assert not A.has_canonical_format  # the caller's matrix is not touched
 
 
 def test_sparse_operator_supported(rng):
@@ -209,6 +243,32 @@ def test_finite_theta_trace(rng):
     _, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
     for row in trace.rows:
         assert row.lb_fresh <= row.mu_true + 1e-10
+
+
+def test_true_mu_spends_no_counted_products(rng):
+    A, b = _ls_problem(rng)
+    A = sp.csc_matrix(A)
+    runs = {}
+    for flag in (False, True):
+        config = SolverConfig(estimate_every=3, refine_steps=1,
+                              compute_true_mu=flag)
+        runs[flag] = lsmr(A, b, config, _sketch_hooks(A))[1].rows
+    assert [(r.matvec_count, r.rmatvec_count) for r in runs[True]] == \
+        [(r.matvec_count, r.rmatvec_count) for r in runs[False]]
+    assert all(math.isfinite(r.mu_true) for r in runs[True])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_true_mu_keeps_no_m_row_array(rng, sparse):
+    m, n = 80, 6
+    A = rng.standard_normal((m, n))
+    A = sp.csc_matrix(A) if sparse else A
+    true_mu = _TrueMu(A)
+    assert true_mu.A is A
+    held = [*vars(true_mu).values(), *vars(true_mu.kwf).values()]
+    assert not [v.shape for v in held
+                if isinstance(v, np.ndarray) and v is not A
+                and v.shape[0] == m]
 
 
 def test_mu_true_matches_direct_computation(rng):
