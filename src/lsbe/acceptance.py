@@ -19,8 +19,7 @@ import scipy.sparse as sp
 
 from .core import LSProblem, weighted_residual
 from .decomposition import brute_force_max, decomposition_sum, optimal_pq
-from .estimates import (kw, kw_factorization, lb_direction, lb_evaluate,
-                        mu_rank_one, sketched_kw)
+from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
 from .sketch import SketchOperator, apply_sketch, measure_distortion
@@ -157,7 +156,7 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         norm_r = float(np.linalg.norm(r))
         p_star = lb_direction(kwf, At_r, norm_r, mu_est=mu)
         p_star /= np.linalg.norm(p_star)
-        lb = lb_evaluate(A @ p_star, r)
+        lb = mu_rank_one(A @ p_star, r)
         worst_attain = max(worst_attain, abs(lb - mu) / max(mu, 1e-300))
 
         P = rng.standard_normal((n, draws_per))
@@ -170,7 +169,7 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         worst_excess = max(worst_excess, float(np.max(vals) - mu))
         if not spot_checked:
             for j in range(min(3, draws_per)):
-                direct = lb_evaluate(AP[:, j], r)
+                direct = mu_rank_one(AP[:, j], r)
                 assert abs(direct - vals[j]) <= 1e-14 * max(1.0, direct)
             spot_checked = True
     passed = worst_attain <= 1e-7 and worst_excess <= 1e-12
@@ -263,7 +262,7 @@ def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
         np_t = float(np.linalg.norm(p))
         if np_t == 0.0:
             return 0.0
-        return lb_evaluate(A @ (p / np_t), r)
+        return mu_rank_one(A @ (p / np_t), r)
 
     for eta in (0.1, 0.3, 0.5):
         guarantee = (1.0 - eta ** 2) / (1.0 + eta ** 2)

@@ -19,19 +19,17 @@ import time
 import numpy as np
 
 from . import __version__
+from .acceptance import GL7D12_SHAPE, run_all
 from .core import LSProblem, weighted_residual
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
-from .estimates import (kw, kw_factorization, kw_multi, lb_direction,
-                        lb_evaluate, pair_basis, sketched_kw, ub_deflation,
-                        ub_generous)
+from .estimates import kw_factorization, kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, apply_sketch
-from .solver import CountingOperator, EstimatorHooks, SolverConfig, lsmr
+from .solver import (CountingOperator, EstimatorHooks, SolverConfig,
+                     estimate_bounds, lsmr)
 from .solver import _power_spectral_norm
-
-GL7D12_SHAPE = (8899, 1019)
 
 
 def _parse_theta(text: str) -> float:
@@ -75,8 +73,15 @@ def cmd_estimate(args) -> int:
     print(f"norm_r = {fmt_float(float(np.linalg.norm(wr.R)))}")
     print(f"norm_r_theta = {fmt_float(wr.norm_Rtheta)}")
 
+    kwf_A = None
+    if d == 1:
+        r = wr.Rtheta[:, 0]
+        norm_r = float(np.linalg.norm(r))
+        At_r = A.T @ r
+        kwf_A = kw_factorization(A, "exact_A")
     routes = {"eig": mu_exact, "sigma-min": mu_sigma_min,
-              "fixed-point": mu_fixed_point, "gevp": mu_gevp}
+              "fixed-point": lambda M, R: mu_fixed_point(M, R, kwf=kwf_A),
+              "gevp": mu_gevp}
     methods = [args.method] if args.method != "all" else list(routes)
     mu_values = {}
     for name in methods:
@@ -87,7 +92,7 @@ def cmd_estimate(args) -> int:
     for name, value in mu_values.items():
         print(f"mu[{name}] = {fmt_float(value)}")
 
-    nu = kw_multi(A, wr.Rtheta) if d > 1 else kw(A, wr.Rtheta[:, 0])
+    nu = kw_multi(A, wr.Rtheta) if d > 1 else sketched_kw(kwf_A, At_r, norm_r)
     print(f"nu = {fmt_float(nu)}")
     if mu_values:
         mu_ref = next(iter(mu_values.values()))
@@ -98,28 +103,16 @@ def cmd_estimate(args) -> int:
         S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
                           args.seed)
         kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
-        r = wr.Rtheta[:, 0]
-        norm_r = float(np.linalg.norm(r))
-        At_r = A.T @ r
-        nu_sk = sketched_kw(kwf, At_r, norm_r)
-        print(f"nu_sketched = {fmt_float(nu_sk)}")
-        p_tilde = lb_direction(kwf, At_r, norm_r, args.mu_est)
-        np_t = float(np.linalg.norm(p_tilde))
-        if np_t > 0:
-            ops = CountingOperator(A)
-            p_hat = p_tilde / np_t
-            Ap = ops.matvec(p_hat)
-            print(f"lb_sketched = {fmt_float(lb_evaluate(Ap, r))}")
-            u = Ap - r
-            if float(np.linalg.norm(u)) > 0:
-                print(f"ub_deflation = "
-                      f"{fmt_float(ub_deflation(Ap, r, ops.rmatvec(u)))}")
-            U = pair_basis(Ap, r)
-            rows_UA = np.stack([ops.rmatvec(U[:, i])
-                                for i in range(U.shape[1])])
-            print(f"ub_generous = {fmt_float(ub_generous(rows_UA, U.T @ r))}")
-        else:
-            print("lb_sketched = 0")
+        values, fresh = estimate_bounds(CountingOperator(A), kwf, r, norm_r,
+                                        At_r, args.mu_est)
+        if fresh is not None and fresh.mu_est_used != args.mu_est:
+            print("note: mu_est reset to 0 (mu_est^2 is not below "
+                  "||r_theta||^2 + sigma_min^2 of the sketch)")
+        print(f"nu_sketched = {fmt_float(values['nu_sketched'])}")
+        print(f"lb_sketched = {fmt_float(values['lb_fresh'])}")
+        for name in ("ub_deflation", "ub_generous"):
+            if not math.isnan(values[name]):
+                print(f"{name} = {fmt_float(values[name])}")
     return 0
 
 
@@ -194,8 +187,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_all
-
     results = run_all(trials=args.trials, scale=args.scale, seed=args.seed,
                       inject_failure=args.inject_failure,
                       gl7d12_path=args.gl7d12)

@@ -144,6 +144,15 @@ class CompressedPair:
         return self.TA.shape[0]
 
 
+def theta_scale(theta: float, normx: float) -> float:
+    """The factor c with r_theta = c r for one right-hand side:
+    theta / sqrt(1 + theta^2 ||x||^2), or 1 / ||x|| for theta = inf (NaN
+    when x = 0)."""
+    if math.isinf(theta):
+        return 1.0 / normx if normx > 0.0 else math.nan
+    return theta / math.sqrt(1.0 + theta * theta * normx * normx)
+
+
 def weighted_residual(problem: LSProblem, X) -> WeightedResidual:
     """Form R = B - AX and the weighted residual Rtheta.
 
@@ -174,12 +183,7 @@ def weighted_residual(problem: LSProblem, X) -> WeightedResidual:
                 "supply a finite theta")
 
     if d == 1:
-        xnorm = float(np.linalg.norm(X))
-        if infinite:
-            scale = 1.0 / xnorm
-        else:
-            scale = theta / math.sqrt(1.0 + theta * theta * xnorm * xnorm)
-        Rtheta = scale * R
+        Rtheta = theta_scale(theta, float(np.linalg.norm(X))) * R
     else:
         G = X.T @ X
         G = 0.5 * (G + G.T)

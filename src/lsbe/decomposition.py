@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import compress_pair
-from .errors import (BothZero, ColumnsNotOrthonormal, NotFeasible,
-                     NotPositiveDefinite, SizeGuard)
+from .errors import (ColumnsNotOrthonormal, NotFeasible, NotPositiveDefinite,
+                     SizeGuard)
 from .estimates import mu_rank_one
 from .exact import _gram_shift
 from .pencil import JSignature, hyperbolic_cs, j_pencil_eig
@@ -40,13 +40,6 @@ class DecompositionWitness:
     k: int
     swapped: bool = False
     regularization_eps: float = 0.0
-
-
-def _safe_rank_one(a: np.ndarray, r: np.ndarray) -> float:
-    try:
-        return mu_rank_one(a, r)
-    except BothZero:
-        return 0.0
 
 
 def _check_orthonormal(M: np.ndarray, name: str, atol: float) -> None:
@@ -76,7 +69,7 @@ def decomposition_sum(A, Rtheta, P, Q) -> float:
     RQ = Rtheta @ Q
     total = 0.0
     for i in range(P.shape[1]):
-        total += _safe_rank_one(AP[:, i], RQ[:, i]) ** 2
+        total += mu_rank_one(AP[:, i], RQ[:, i]) ** 2
     return math.sqrt(total)
 
 
@@ -139,7 +132,7 @@ def optimal_pq(A, Rtheta) -> DecompositionWitness:
     LP = left @ P
     RQ = right @ Q
     summands = np.array(
-        [_safe_rank_one(LP[:, i], RQ[:, i]) for i in range(d)])
+        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(d)])
     total = float(np.linalg.norm(summands))
     w = DecompositionWitness(P=P, Q=Q, summands=summands, total=total,
                              k=d, swapped=swapped, regularization_eps=eps)
@@ -278,7 +271,7 @@ def brute_force_max(A, Rtheta, trials: int = 200, polish_steps: int = 20,
     val, P, Q = best
     LP, RQ = TA @ P, TR @ Q
     summands = np.array(
-        [_safe_rank_one(LP[:, i], RQ[:, i]) for i in range(k)])
+        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(k)])
     w = DecompositionWitness(
         P=P, Q=Q, summands=summands, total=float(np.linalg.norm(summands)),
         k=k, swapped=swapped)

@@ -34,8 +34,8 @@ class ShiftNotPD(Exception):
 
 
 class BothZero(Exception):
-    """Raised by the rank-one backward error when both input vectors are
-    identically zero."""
+    """Raised by pair_basis when both input vectors are identically
+    zero."""
 
 
 class ZeroDeflator(Exception):

@@ -36,20 +36,23 @@ class RecycledDirection:
 def mu_rank_one(a, r) -> float:
     """Backward error of a pair of vectors: 2 |a'r| / (||a+r|| + ||a-r||).
 
-    This is the cancellation-free form; raises BothZero when both vectors
-    vanish (the value is undefined there).
+    This is the cancellation-free form.  It is 0 when both vectors vanish,
+    the limit there since mu(a, r) <= min(||a||, ||r||).  Any unit p gives
+    the certified lower bound mu_rank_one(Ap, r_theta) <= mu(A, r_theta).
     """
     a = np.asarray(a, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
     num = 2.0 * abs(float(a @ r))
     den = float(np.linalg.norm(a + r) + np.linalg.norm(a - r))
-    if den == 0.0:
-        raise BothZero("mu(a, r) is undefined for a = r = 0")
-    return num / den
+    return num / den if den > 0.0 else 0.0
 
 
-def _kw_eval(kwf: KWFactorization, At_r, norm_r: float) -> float:
-    """Evaluate ||(M'M + ||r||^2 I)^{-1/2} At_r|| from the retained SVD."""
+def sketched_kw(kwf: KWFactorization, At_r, norm_r: float) -> float:
+    """nu = ||(M'M + ||r||^2 I)^{-1/2} A'r|| from the retained SVD of M.
+
+    With M = SA this is the sketched estimate: it needs only At_r = A'r
+    plus O(n^2) work and never touches A; with M = A it is kw itself.
+    """
     At_r = np.asarray(At_r, dtype=float).ravel()
     z = kwf.right_vectors.T @ At_r
     s = kwf.singular_values
@@ -67,11 +70,9 @@ def kw(A, r_theta) -> float:
     Always within a factor sqrt(2) below the true backward error.
     """
     r = np.asarray(r_theta, dtype=float).ravel()
-    if is_sparse(A):
-        A = A.toarray()
-    A = np.asarray(A, dtype=float)
-    return _kw_eval(kw_factorization(A, "exact_A"), A.T @ r,
-                    float(np.linalg.norm(r)))
+    At_r = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ r
+    return sketched_kw(kw_factorization(A, "exact_A"), At_r,
+                       float(np.linalg.norm(r)))
 
 
 def kw_multi(A, Rtheta) -> float:
@@ -80,24 +81,13 @@ def kw_multi(A, Rtheta) -> float:
     Rtheta = np.asarray(Rtheta, dtype=float)
     if Rtheta.ndim == 1:
         Rtheta = Rtheta[:, None]
-    if is_sparse(A):
-        A = A.toarray()
-    A = np.asarray(A, dtype=float)
     kwf = kw_factorization(A, "exact_A")
-    At_R = A.T @ Rtheta
+    At_R = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ Rtheta
     _, sR, Wt = np.linalg.svd(Rtheta, full_matrices=False)
     total = 0.0
     for i in range(Rtheta.shape[1]):
-        total += _kw_eval(kwf, At_R @ Wt[i], float(sR[i])) ** 2
+        total += sketched_kw(kwf, At_R @ Wt[i], float(sR[i])) ** 2
     return math.sqrt(total)
-
-
-def sketched_kw(kwf: KWFactorization, At_r, norm_r: float) -> float:
-    """Sketched estimate: nu with A'A replaced by the retained (SA)'(SA).
-
-    Needs only At_r = A'r plus O(n^2) work; never touches A itself.
-    """
-    return _kw_eval(kwf, At_r, norm_r)
 
 
 def lb_direction(kwf: KWFactorization, At_r, norm_r: float,
@@ -119,12 +109,6 @@ def lb_direction(kwf: KWFactorization, At_r, norm_r: float,
     return kwf.right_vectors @ (z / (s * s + shift))
 
 
-def lb_evaluate(Ap, r_theta) -> float:
-    """Rank-one backward error of (Ap, r_theta); a guaranteed lower bound
-    on mu(A, r_theta) whenever p was unit-normalized before forming Ap."""
-    return mu_rank_one(Ap, r_theta)
-
-
 def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
               norm_r: float, mu_est: float = 0.0) -> np.ndarray:
     """One iterative-refinement step on the lower-bound direction.
@@ -142,11 +126,6 @@ def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
     residual = A_ops.rmatvec(r - A_ops.matvec(p_tilde)) - shift * p_tilde
     z = kwf.right_vectors.T @ residual
     return p_tilde + kwf.right_vectors @ (z / (s * s + shift))
-
-
-def lb_recycled(direction: RecycledDirection, r_theta) -> float:
-    """Lower bound from a frozen direction: zero products with A."""
-    return mu_rank_one(direction.Ap, r_theta)
 
 
 def ub_deflation(Ap_tilde, r_theta, At_u) -> float:
@@ -196,8 +175,6 @@ def pair_basis(Ap, r_theta, tol: float = TOL_RANK) -> np.ndarray:
 
 
 __all__ = [
-    "KWFactorization", "kw_factorization", "RecycledDirection",
-    "mu_rank_one", "kw", "kw_multi", "sketched_kw", "lb_direction",
-    "lb_evaluate", "lb_refine", "lb_recycled", "ub_deflation",
-    "ub_generous", "pair_basis",
+    "RecycledDirection", "mu_rank_one", "kw", "kw_multi", "sketched_kw",
+    "lb_direction", "lb_refine", "ub_deflation", "ub_generous", "pair_basis",
 ]

@@ -15,10 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import KWFactorization, as_operator, is_sparse, kw_factorization
+from .core import (KWFactorization, as_operator, is_sparse, kw_factorization,
+                   theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, lb_direction, lb_refine,
-                        pair_basis, sketched_kw, ub_deflation, ub_generous)
+                        mu_rank_one, pair_basis, sketched_kw, ub_deflation,
+                        ub_generous)
 from .exact import mu_exact, mu_fixed_point
 
 
@@ -202,18 +204,6 @@ def recycle_policy(row: TraceRow, direction: RecycledDirection,
     return "recompute" if rel < config.recycle_threshold else "keep"
 
 
-def _theta_scale(theta: float, normx: float) -> float:
-    if math.isinf(theta):
-        return 1.0 / normx if normx > 0.0 else math.nan
-    return theta / math.sqrt(1.0 + theta * theta * normx * normx)
-
-
-def _safe_rank_one(a, r) -> float:
-    num = 2.0 * abs(float(a @ r))
-    den = float(np.linalg.norm(a + r) + np.linalg.norm(a - r))
-    return num / den if den > 0.0 else 0.0
-
-
 class _TrueMu:
     """Exact backward error for trace rows from a cached factorization.
 
@@ -234,6 +224,60 @@ class _TrueMu:
             return mu_exact(self.A, r_theta[:, None]).mu
 
 
+ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
+                    "ub_deflation", "ub_generous")
+
+
+def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
+                    At_r_theta, mu_est: float = 0.0, refine_steps: int = 0,
+                    direction: RecycledDirection | None = None, itn: int = 0):
+    """Evaluate the sketched estimator suite on one weighted residual.
+
+    Returns (values, fresh): values maps each name in ESTIMATE_COLUMNS to a
+    float (NaN when not computed), and fresh is the new RecycledDirection
+    (None when the direction solve returned zero).  The direction solve
+    resets mu_est to 0 when the shift is not positive definite; fresh
+    records the value used.  lb_recycled is evaluated on direction, or on
+    fresh when direction is None.  Products go through ops; norm_r_theta
+    is passed in so callers keep their own rounding of ||r_theta||.
+    """
+    values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
+    values["nu_sketched"] = sketched_kw(kwf, At_r_theta, norm_r_theta)
+    try:
+        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est)
+    except ShiftNotPD:
+        mu_est = 0.0
+        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est)
+    np_t = float(np.linalg.norm(p_tilde))
+    if not np_t > 0.0:
+        values["lb_fresh"] = 0.0
+        values["lb_recycled"] = (0.0 if direction is None
+                                 else mu_rank_one(direction.Ap, r_theta))
+        return values, None
+    p_hat = p_tilde / np_t
+    Ap = ops.matvec(p_hat)
+    fresh = RecycledDirection(p=p_hat, Ap=Ap, born_at=itn,
+                              mu_est_used=mu_est)
+    values["lb_fresh"] = mu_rank_one(Ap, r_theta)
+    if refine_steps > 0:
+        q = p_tilde
+        for _ in range(refine_steps):
+            q = lb_refine(q, kwf, ops, r_theta, norm_r_theta, mu_est)
+        nq = float(np.linalg.norm(q))
+        if nq > 0.0:
+            values["lb_refined"] = mu_rank_one(ops.matvec(q / nq), r_theta)
+    values["lb_recycled"] = mu_rank_one(
+        (fresh if direction is None else direction).Ap, r_theta)
+    u_def = Ap - r_theta
+    if float(np.linalg.norm(u_def)) > 0.0:
+        values["ub_deflation"] = ub_deflation(Ap, r_theta, ops.rmatvec(u_def))
+    if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
+        U = pair_basis(Ap, r_theta)
+        rows_UA = np.stack([ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
+        values["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
+    return values, fresh
+
+
 def _estimate_row(itn, ops, b, x, config, hooks, direction, true_mu):
     """Refresh the residual, evaluate the estimator suite, and build a
     trace row.  Returns (row, direction), where direction may have been
@@ -242,63 +286,27 @@ def _estimate_row(itn, ops, b, x, config, hooks, direction, true_mu):
     norm_r = float(np.linalg.norm(r))
     At_r = ops.rmatvec(r)
     norm_Atr = float(np.linalg.norm(At_r))
-    cth = _theta_scale(config.theta, float(np.linalg.norm(x)))
+    cth = theta_scale(config.theta, float(np.linalg.norm(x)))
 
-    nu_sk = lb_f = lb_ref = lb_rec = ub_def = ub_gen = mu_t = math.nan
-    norm_rth = math.nan
+    values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
+    mu_t = norm_rth = math.nan
     fresh: RecycledDirection | None = None
     if math.isfinite(cth):
         r_th = cth * r
         norm_rth = cth * norm_r
-        At_rth = cth * At_r
         if true_mu is not None:
             mu_t = true_mu(r_th)
         if hooks.kwf is not None:
-            nu_sk = sketched_kw(hooks.kwf, At_rth, norm_rth)
-            try:
-                p_tilde = lb_direction(hooks.kwf, At_rth, norm_rth,
-                                       hooks.mu_est)
-                mu_est_used = hooks.mu_est
-            except ShiftNotPD:
-                p_tilde = lb_direction(hooks.kwf, At_rth, norm_rth, 0.0)
-                mu_est_used = 0.0
-            np_t = float(np.linalg.norm(p_tilde))
-            if np_t > 0.0:
-                p_hat = p_tilde / np_t
-                Ap = ops.matvec(p_hat)
-                fresh = RecycledDirection(p=p_hat, Ap=Ap, born_at=itn,
-                                          mu_est_used=mu_est_used)
-                lb_f = _safe_rank_one(Ap, r_th)
-                if config.refine_steps > 0:
-                    q = p_tilde
-                    for _ in range(config.refine_steps):
-                        q = lb_refine(q, hooks.kwf, ops, r_th, norm_rth,
-                                      mu_est_used)
-                    nq = float(np.linalg.norm(q))
-                    if nq > 0.0:
-                        lb_ref = _safe_rank_one(ops.matvec(q / nq), r_th)
-                if direction is None:
-                    direction = fresh
-                lb_rec = _safe_rank_one(direction.Ap, r_th)
-                u_def = Ap - r_th
-                if float(np.linalg.norm(u_def)) > 0.0:
-                    At_u = ops.rmatvec(u_def)
-                    ub_def = ub_deflation(Ap, r_th, At_u)
-                if norm_rth > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
-                    U = pair_basis(Ap, r_th)
-                    rows_UA = np.stack(
-                        [ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
-                    ub_gen = ub_generous(rows_UA, U.T @ r_th)
-            else:
-                lb_f = lb_rec = 0.0
-                if direction is not None:
-                    lb_rec = _safe_rank_one(direction.Ap, r_th)
+            values, fresh = estimate_bounds(
+                ops, hooks.kwf, r_th, norm_rth, cth * At_r, hooks.mu_est,
+                config.refine_steps, direction, itn)
+            if direction is None:
+                direction = fresh
 
     row = TraceRow(
         iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
-        nu_sketched=nu_sk, lb_fresh=lb_f, lb_refined=lb_ref,
-        lb_recycled=lb_rec, ub_deflation=ub_def, ub_generous=ub_gen,
-        mu_true=mu_t, matvec_count=ops.matvecs, rmatvec_count=ops.rmatvecs)
+        mu_true=mu_t, matvec_count=ops.matvecs, rmatvec_count=ops.rmatvecs,
+        **values)
 
     if (direction is not None and fresh is not None
             and math.isfinite(row.lb_recycled)
@@ -459,4 +467,5 @@ def lsmr(A, b, config: SolverConfig | None = None,
 __all__ = [
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
     "EstimatorHooks", "CountingOperator", "lsmr", "recycle_policy",
+    "estimate_bounds",
 ]

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.io
 import scipy.sparse as sp
 
 import lsbe.cli
+import lsbe.core
 import lsbe.exact
 from lsbe import mu_all_methods, mu_exact, weighted_residual, LSProblem
 from lsbe.cli import main
@@ -16,6 +18,7 @@ from lsbe.solver import TRACE_COLUMNS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY = os.path.join(DATA, "tiny_20x5.mtx")
+TINY_XB = [os.path.join(DATA, "tiny_x.txt"), os.path.join(DATA, "tiny_b.txt")]
 
 
 def _parse_report(out):
@@ -103,6 +106,48 @@ def test_estimate_all_calls_each_route_once(tmp_path, capsys, rng,
         r = wr.Rtheta if name == "eig" else wr.Rtheta[:, 0]
         direct = getattr(lsbe.exact, fn_name)(A_loaded, r).mu
         assert values[f"mu[{name}]"] == direct, name
+
+
+@pytest.mark.parametrize("flags, fixture", [
+    ([], "estimate_tiny_default.txt"),
+    (["--theta", "2"], "estimate_tiny_theta2.txt"),
+    (["--mu-est", "0.5"], "estimate_tiny_muest05.txt")])
+def test_estimate_matches_recorded_output(capsys, flags, fixture):
+    # Recorded before the estimator suite moved into estimate_bounds.
+    assert main(["estimate", TINY, *TINY_XB, *flags]) == 0
+    with open(os.path.join(DATA, fixture)) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_estimate_mu_est_above_sketch_limit_resets(capsys):
+    assert main(["estimate", TINY, *TINY_XB, "--mu-est", "1e6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [ln for ln in lines if ln.startswith("note:")]
+    assert len(notes) == 1 and "mu_est reset to 0" in notes[0]
+    # After the reset the bounds are those of mu_est = 0.
+    with open(os.path.join(DATA, "estimate_tiny_default.txt")) as fh:
+        assert [ln for ln in lines if ln not in notes] == \
+            fh.read().splitlines()
+
+
+def test_estimate_factors_A_once(capsys, monkeypatch):
+    # One factorization of A (nu and the fixed-point route) and one of the
+    # sketch, counted under every name an lsbe module binds it to.
+    original = lsbe.core.kw_factorization
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("source", args[1] if len(args) > 1
+                                else "exact_A"))
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lsbe" or name.startswith("lsbe."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    assert main(["estimate", TINY, *TINY_XB]) == 0
+    assert sorted(calls) == ["exact_A", "sketched_SA"]
 
 
 def test_solve_smoke_and_csv_schema(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsbe import (brute_force_max, decomposition_sum, lb_evaluate, mu_exact,
+from lsbe import (brute_force_max, decomposition_sum, mu_exact, mu_rank_one,
                   optimal_pq)
 from lsbe.errors import ColumnsNotOrthonormal, SizeGuard
 
@@ -97,7 +97,7 @@ def test_decomposition_sum_k1_reduces_to_lb(rng):
     p /= np.linalg.norm(p)
     for q in (np.array([1.0]), np.array([-1.0])):
         val = decomposition_sum(A, r[:, None], p[:, None], q[:, None])
-        assert val == pytest.approx(lb_evaluate(A @ p, r), rel=1e-14)
+        assert val == pytest.approx(mu_rank_one(A @ p, r), rel=1e-14)
 
 
 def test_decomposition_sum_rejects_bad_columns(rng):

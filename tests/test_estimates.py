@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsbe import (RecycledDirection, kw, kw_factorization, kw_multi,
-                  lb_direction, lb_evaluate, lb_recycled, lb_refine,
-                  mu_exact, mu_rank_one, pair_basis, sketched_kw,
-                  ub_deflation, ub_generous)
+                  lb_direction, lb_refine, mu_exact, mu_rank_one, pair_basis,
+                  sketched_kw, ub_deflation, ub_generous)
 from lsbe.core import as_operator
-from lsbe.errors import BothZero, ShiftNotPD, ZeroDeflator
+from lsbe.errors import ShiftNotPD, ZeroDeflator
 from lsbe.sketch import SketchOperator, apply_sketch, measure_distortion
+from lsbe.solver import CountingOperator, estimate_bounds
 
 from conftest import random_orthogonal, random_orthonormal
 
@@ -37,8 +37,8 @@ def test_rank_one_golden():
 
 
 def test_rank_one_both_zero():
-    with pytest.raises(BothZero):
-        mu_rank_one([0.0, 0.0], [0.0, 0.0])
+    # mu(a, r) <= min(||a||, ||r||), so 0 is the limit at a = r = 0.
+    assert mu_rank_one([0.0, 0.0], [0.0, 0.0]) == 0.0
 
 
 def test_rank_one_single_zero_is_fine():
@@ -122,6 +122,18 @@ def test_kw_multi_rotation_invariant(seed):
     assert kw_multi(A, R @ G) == pytest.approx(kw_multi(A, R), rel=1e-10)
 
 
+@pytest.mark.parametrize("fmt", ["csc", "csr"])
+def test_kw_sparse_matches_dense(rng, fmt):
+    # A'R is formed from the sparse matrix itself, so only the last bits
+    # may differ from the dense evaluation.
+    A = rng.standard_normal((40, 6))
+    A[rng.random((40, 6)) < 0.6] = 0.0
+    R = rng.standard_normal((40, 3))
+    S = sp.csc_matrix(A) if fmt == "csc" else sp.csr_matrix(A)
+    assert kw(S, R[:, 0]) == pytest.approx(kw(A, R[:, 0]), rel=1e-13)
+    assert kw_multi(S, R) == pytest.approx(kw_multi(A, R), rel=1e-13)
+
+
 # --- sketched estimate --------------------------------------------------------
 
 def test_sketched_kw_identity_sketch_equals_kw(rng):
@@ -181,7 +193,7 @@ def test_lb_direction_attains_mu_with_exact_shift(rng):
     p = lb_direction(_exact_kwf(A), A.T @ r, float(np.linalg.norm(r)),
                      mu_est=mu)
     p /= np.linalg.norm(p)
-    assert lb_evaluate(A @ p, r) == pytest.approx(mu, rel=1e-8)
+    assert mu_rank_one(A @ p, r) == pytest.approx(mu, rel=1e-8)
 
 
 def test_lb_direction_shift_guard(rng):
@@ -194,7 +206,7 @@ def test_lb_direction_shift_guard(rng):
 
 
 def test_lb_evaluate_orthogonal_is_zero():
-    assert lb_evaluate(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert mu_rank_one(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
 def test_lb_evaluate_soundness_sweep(rng):
@@ -204,7 +216,7 @@ def test_lb_evaluate_soundness_sweep(rng):
     for _ in range(1000):
         p = rng.standard_normal(5)
         p /= np.linalg.norm(p)
-        assert lb_evaluate(A @ p, r) <= mu + 1e-12
+        assert mu_rank_one(A @ p, r) <= mu + 1e-12
 
 
 def test_lb_refine_identity_sketch_is_fixed_point(rng):
@@ -247,9 +259,9 @@ def test_lb_refine_statistical_improvement():
         S = SketchOperator(kind="gaussian", rows=16 * n, cols=m, seed=t)
         kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
         p0 = lb_direction(kwf, A.T @ r, norm_r, 0.0)
-        lb0 = lb_evaluate(A @ (p0 / np.linalg.norm(p0)), r)
+        lb0 = mu_rank_one(A @ (p0 / np.linalg.norm(p0)), r)
         p1 = lb_refine(p0, kwf, as_operator(A), r, norm_r, 0.0)
-        lb1 = lb_evaluate(A @ (p1 / np.linalg.norm(p1)), r)
+        lb1 = mu_rank_one(A @ (p1 / np.linalg.norm(p1)), r)
         diffs.append(lb1 - lb0)
         if lb1 >= lb0 - 1e-14:
             improved += 1
@@ -258,19 +270,24 @@ def test_lb_refine_statistical_improvement():
 
 
 def test_lb_recycled_matches_fresh_bitwise(rng):
+    # The recycled bound is the rank-one value on the stored Ap, so a
+    # direction recycled from this residual reproduces the fresh bound.
     A = rng.standard_normal((12, 4))
     r = rng.standard_normal(12)
-    p = rng.standard_normal(4)
-    p /= np.linalg.norm(p)
-    Ap = A @ p
-    direction = RecycledDirection(p=p, Ap=Ap, born_at=3)
-    assert lb_recycled(direction, r) == lb_evaluate(Ap, r)
+    ops = CountingOperator(A)
+    kwf = kw_factorization(A, "exact_A")
+    args = (ops, kwf, r, float(np.linalg.norm(r)), A.T @ r)
+    values, fresh = estimate_bounds(*args)
+    assert values["lb_recycled"] == values["lb_fresh"]
+    again, _ = estimate_bounds(*args, direction=fresh)
+    assert again["lb_recycled"] == mu_rank_one(fresh.Ap, r) == \
+        values["lb_fresh"]
 
 
 def test_lb_recycled_orthogonal_zero(rng):
     p = np.array([1.0, 0.0])
     direction = RecycledDirection(p=p, Ap=np.array([1.0, 0.0, 0.0]))
-    assert lb_recycled(direction, np.array([0.0, 1.0, 0.0])) == 0.0
+    assert mu_rank_one(direction.Ap, np.array([0.0, 1.0, 0.0])) == 0.0
 
 
 def test_lb_recycled_stays_below_mu_along_residual_path(rng):
@@ -280,7 +297,8 @@ def test_lb_recycled_stays_below_mu_along_residual_path(rng):
     direction = RecycledDirection(p=p, Ap=A @ p)
     for _ in range(50):
         r = rng.standard_normal(40)
-        assert lb_recycled(direction, r) <= mu_exact(A, r[:, None]).mu + 1e-12
+        assert (mu_rank_one(direction.Ap, r)
+                <= mu_exact(A, r[:, None]).mu + 1e-12)
 
 
 def test_recycled_direction_must_be_unit():
@@ -399,6 +417,6 @@ def test_sketched_lower_bound_guarantee_synthetic(rng):
             np_t = np.linalg.norm(p)
             if np_t == 0.0:
                 continue
-            lb = lb_evaluate(A @ (p / np_t), r)
+            lb = mu_rank_one(A @ (p / np_t), r)
             bound = (1.0 - eta ** 2) / (1.0 + eta ** 2) * kw(A, r)
             assert lb >= bound - 1e-10

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lsbe import (EstimatorHooks, SolverConfig, TraceRow, kw_factorization,
-                  lsmr, mu_exact, recycle_policy)
+from lsbe import (CountingOperator, EstimatorHooks, SolverConfig, TraceRow,
+                  estimate_bounds, kw_factorization, lsmr, mu_rank_one,
+                  recycle_policy)
+from lsbe.core import theta_scale
 from lsbe.estimates import RecycledDirection
 from lsbe.fileio import read_trace_csv
-from lsbe.solver import TRACE_COLUMNS, _TrueMu
+from lsbe.solver import ESTIMATE_COLUMNS, TRACE_COLUMNS, _TrueMu
 from lsbe.sketch import SketchOperator, apply_sketch
 
 
@@ -210,6 +212,67 @@ def test_lb_recycled_costs_nothing(rng):
         [r.matvec_count for r in tr_hi.rows]
     assert [r.rmatvec_count for r in tr_lo.rows] == \
         [r.rmatvec_count for r in tr_hi.rows]
+
+
+def _bounds_args(rng, m=60, n=5):
+    A = rng.standard_normal((m, n))
+    r = rng.standard_normal(m)
+    kwf = _sketch_hooks(A).kwf
+    return A, r, kwf, float(np.linalg.norm(r)), A.T @ r
+
+
+def test_estimate_bounds_reproduces_trace_row(rng):
+    # The suite run on the row's weighted residual gives the row's numbers
+    # bit for bit, and spends the row's estimator products.
+    A, b = _ls_problem(rng)
+    config = SolverConfig(estimate_every=1, refine_steps=2, max_iters=1,
+                          theta=3.0)
+    x, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
+    row = trace.rows[-1]
+    ops = CountingOperator(A)
+    r = b - ops.matvec(x)
+    cth = theta_scale(3.0, float(np.linalg.norm(x)))
+    At_r = ops.rmatvec(r)
+    values, fresh = estimate_bounds(
+        ops, _sketch_hooks(A).kwf, cth * r, cth * float(np.linalg.norm(r)),
+        cth * At_r, refine_steps=2, itn=row.iter)
+    assert set(values) == set(ESTIMATE_COLUMNS)
+    for name in ESTIMATE_COLUMNS:
+        assert values[name] == getattr(row, name), name
+    assert fresh.born_at == row.iter and fresh.mu_est_used == 0.0
+    # Beyond the refresh: a matvec and an rmatvec per refinement step, a
+    # matvec each for the fresh and refined directions, and rmatvecs for
+    # the deflation vector and the two basis columns.
+    assert (ops.matvecs - 1, ops.rmatvecs - 1) == (4, 5)
+
+
+def test_estimate_bounds_resets_mu_est_above_sketch_limit(rng):
+    A, r, kwf, norm_r, At_r = _bounds_args(rng)
+    base, fresh0 = estimate_bounds(CountingOperator(A), kwf, r, norm_r, At_r)
+    huge = 10.0 * (norm_r + float(kwf.singular_values[0]))
+    values, fresh = estimate_bounds(CountingOperator(A), kwf, r, norm_r,
+                                    At_r, mu_est=huge)
+    assert fresh.mu_est_used == 0.0
+    np.testing.assert_equal(values, base)
+    assert np.array_equal(fresh.Ap, fresh0.Ap)
+
+
+def test_estimate_bounds_zero_direction(rng):
+    # A'r = 0: no direction, no products; the recycled bound still uses
+    # the direction it is given.
+    A, r, kwf, norm_r, _ = _bounds_args(rng)
+    ops = CountingOperator(A)
+    values, fresh = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5))
+    assert fresh is None and (ops.matvecs, ops.rmatvecs) == (0, 0)
+    assert values["nu_sketched"] == values["lb_fresh"] == 0.0
+    assert values["lb_recycled"] == 0.0
+    assert all(math.isnan(values[k]) for k in
+               ("lb_refined", "ub_deflation", "ub_generous"))
+    p = np.eye(5)[0]
+    old = RecycledDirection(p=p, Ap=A @ p)
+    values, _ = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5),
+                                direction=old)
+    assert values["lb_recycled"] == mu_rank_one(A @ p, r)
 
 
 def test_trace_soundness_small(rng):
