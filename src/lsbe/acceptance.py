@@ -22,7 +22,8 @@ from .decomposition import brute_force_max, decomposition_sum, optimal_pq
 from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
-from .sketch import SketchOperator, apply_sketch, measure_distortion
+from .sketch import (SketchOperator, apply_sketch, measure_distortion,
+                     sketch_rows)
 from .solver import EstimatorHooks, SolverConfig, lsmr
 
 GL7D12_SHAPE = (8899, 1019)
@@ -94,7 +95,7 @@ def criterion_rank_one(n_pairs: int = 1000, n_stress: int = 200,
         a = rng.standard_normal(m)
         r = rng.standard_normal(m)
         val = mu_rank_one(a, r)
-        ref = mu_exact(a[:, None], r[:, None]).mu
+        ref = mu_exact(a, r).mu
         denom = max(ref, 1e-300)
         # The eigenvalue-formula reference carries its own cancellation
         # error bar of order eps * (||a||^2 + ||r||^2) in mu^2; discount it
@@ -148,10 +149,10 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         n = int(rng.integers(1, min(8, m - 1) + 1))
         A = rng.standard_normal((m, n))
         r = rng.standard_normal(m)
-        mu = mu_exact(A, r[:, None]).mu
+        mu = mu_exact(A, r).mu
         if inject_failure:
             mu *= 0.5
-        kwf = kw_factorization(A, "exact_A")
+        kwf = kw_factorization(A)
         At_r = A.T @ r
         norm_r = float(np.linalg.norm(r))
         p_star = lb_direction(kwf, At_r, norm_r, mu_est=mu)
@@ -234,10 +235,10 @@ def criterion_kw_chain(n_instances: int = 200, seed: int = 0
         nu = kw(A, r)
         if nu <= 0.0:
             continue
-        ratio = mu_exact(A, r[:, None]).mu / nu
+        ratio = mu_exact(A, r).mu / nu
         lo, hi = min(lo, ratio), max(hi, ratio)
     ones = np.array([[1.0]]), np.array([1.0])
-    sat = mu_exact(ones[0], ones[1][:, None]).mu / kw(*ones)
+    sat = mu_exact(*ones).mu / kw(*ones)
     sat_err = abs(sat - math.sqrt(2.0))
     passed = (lo >= 1.0 - 1e-10 and hi <= math.sqrt(2.0) + 1e-10
               and sat_err <= 1e-12)
@@ -257,7 +258,7 @@ def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
     worst_margin = math.inf
 
     def lb_for(A, r, S):
-        kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+        kwf = kw_factorization(apply_sketch(S, A))
         p = lb_direction(kwf, A.T @ r, float(np.linalg.norm(r)), 0.0)
         np_t = float(np.linalg.norm(p))
         if np_t == 0.0:
@@ -341,9 +342,9 @@ def criterion_hyperbolic_cs(n_instances: int = 500, seed: int = 0
 
 def _trace_run(A, b, factor: int | float, seed: int, refine_steps: int = 1):
     m, n = A.shape
-    rows = max(n, int(math.floor(factor * n)))
-    S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=seed)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
+                       seed=seed)
+    kwf = kw_factorization(apply_sketch(S, A))
     config = SolverConfig(atol=1e-12, estimate_every=1,
                           refine_steps=refine_steps, compute_true_mu=True)
     hooks = EstimatorHooks(kwf=kwf)
@@ -450,10 +451,9 @@ def criterion_gl7d12(path: str | None = None, seed: int = 0
     problems = []
     t0 = time.perf_counter()
     for factor in (1.5, 6, 16):
-        rows_count = max(n, int(math.floor(factor * n)))
-        S = SketchOperator(kind="gaussian", rows=rows_count, cols=m,
-                           seed=seed)
-        kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+        S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n),
+                           cols=m, seed=seed)
+        kwf = kw_factorization(apply_sketch(S, A))
         config = SolverConfig(atol=1e-12, estimate_every=10, refine_steps=1,
                               max_iters=4000, norm_A_2=norm_A_2)
         x, trace, stop = lsmr(A, b, config, EstimatorHooks(kwf=kwf))

@@ -26,7 +26,7 @@ from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
 from .estimates import kw_factorization, kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
-from .sketch import SketchOperator, apply_sketch
+from .sketch import SketchOperator, apply_sketch, sketch_rows
 from .solver import (CountingOperator, EstimatorHooks, SolverConfig,
                      estimate_bounds, lsmr)
 from .solver import _power_spectral_norm
@@ -54,8 +54,8 @@ def _build_sketch(kind: str, factor: float, m: int, n: int,
     kind = kind.replace("-", "_")
     if kind == "identity":
         return SketchOperator(kind="identity", rows=m, cols=m, seed=seed)
-    rows = max(n, int(math.floor(factor * n)))
-    return SketchOperator(kind=kind, rows=rows, cols=m, seed=seed)
+    return SketchOperator(kind=kind, rows=sketch_rows(factor, n), cols=m,
+                          seed=seed)
 
 
 def cmd_estimate(args) -> int:
@@ -78,7 +78,7 @@ def cmd_estimate(args) -> int:
         r = wr.Rtheta[:, 0]
         norm_r = float(np.linalg.norm(r))
         At_r = A.T @ r
-        kwf_A = kw_factorization(A, "exact_A")
+        kwf_A = kw_factorization(A)
     routes = {"eig": mu_exact, "sigma-min": mu_sigma_min,
               "fixed-point": lambda M, R: mu_fixed_point(M, R, kwf=kwf_A),
               "gevp": mu_gevp}
@@ -102,7 +102,7 @@ def cmd_estimate(args) -> int:
     if d == 1:
         S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
                           args.seed)
-        kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+        kwf = kw_factorization(apply_sketch(S, A))
         values, fresh = estimate_bounds(CountingOperator(A), kwf, r, norm_r,
                                         At_r, args.mu_est)
         if fresh is not None and fresh.mu_est_used != args.mu_est:
@@ -134,9 +134,9 @@ def cmd_solve(args) -> int:
         print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
               "matrix GL7d12")
 
-    if config.norm_A_2 is None:
-        config = dataclasses.replace(
-            config, norm_A_2=_power_spectral_norm(CountingOperator(A)))
+    norm_A_2 = config.norm_A_2 or _power_spectral_norm(CountingOperator(A))
+    if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
+        config = dataclasses.replace(config, norm_A_2=norm_A_2)
 
     rng = np.random.default_rng(args.seed)
     if args.rhs is not None:
@@ -144,10 +144,10 @@ def cmd_solve(args) -> int:
     else:
         x_true = rng.standard_normal(n) / math.sqrt(n)
         w = rng.standard_normal(m) / math.sqrt(m)
-        b = A @ x_true + 1e-4 * config.norm_A_2 * w
+        b = A @ x_true + 1e-4 * norm_A_2 * w
 
     S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    kwf = kw_factorization(apply_sketch(S, A))
     hooks = EstimatorHooks(kwf=kwf)
     x, trace, stop_reason = lsmr(A, b, config, hooks)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, RankDeficient, ShiftNotPD
 
 # Numerical-rank threshold relative to the largest singular value.  Matches
 # the backward error of a double-precision factorization.
@@ -231,14 +231,22 @@ class KWFactorization:
 
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    source: str  # "exact_A" or "sketched_SA"
 
-    @property
-    def n(self) -> int:
-        return self.right_vectors.shape[0]
+    def check_shift(self, shift: float) -> None:
+        """Raise ShiftNotPD unless M'M + shift I is positive definite."""
+        if shift + float(self.singular_values[-1] ** 2) <= 0.0:
+            raise ShiftNotPD(
+                "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
+
+    def solve(self, rhs, shift: float) -> np.ndarray:
+        """(M'M + shift I)^{-1} rhs in O(n^2), after check_shift."""
+        self.check_shift(shift)
+        s = self.singular_values
+        z = self.right_vectors.T @ rhs
+        return self.right_vectors @ (z / (s * s + shift))
 
 
-def kw_factorization(M, source: str = "exact_A") -> KWFactorization:
+def kw_factorization(M) -> KWFactorization:
     """Build the factorization from any k x n matrix, dense or sparse.
 
     Only the singular values and right singular vectors are kept.  When
@@ -257,5 +265,4 @@ def kw_factorization(M, source: str = "exact_A") -> KWFactorization:
     elif k < n:
         M = np.vstack([M, np.zeros((n - k, n))])
     _, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return KWFactorization(singular_values=s, right_vectors=Vt.T,
-                           source=source)
+    return KWFactorization(singular_values=s, right_vectors=Vt.T)

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compress_pair
-from .errors import (ColumnsNotOrthonormal, NotFeasible, NotPositiveDefinite,
-                     SizeGuard)
+from .core import _as_2d, compress_pair
+from .errors import ColumnsNotOrthonormal, NotFeasible, SizeGuard
 from .estimates import mu_rank_one
-from .exact import _gram_shift
-from .pencil import JSignature, hyperbolic_cs, j_pencil_eig
+from .pencil import gram_pencil, gram_shift, hyperbolic_cs
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,17 +52,9 @@ def decomposition_sum(A, Rtheta, P, Q) -> float:
 
     By the decomposition identity this never exceeds mu(A, Rtheta).
     """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.ndim == 1:
-        P = P[:, None]
-    if Q.ndim == 1:
-        Q = Q[:, None]
+    P, Q, Rtheta = _as_2d(P, "P"), _as_2d(Q, "Q"), _as_2d(Rtheta, "Rtheta")
     _check_orthonormal(P, "P", 1e-8)
     _check_orthonormal(Q, "Q", 1e-8)
-    Rtheta = np.asarray(Rtheta, dtype=float)
-    if Rtheta.ndim == 1:
-        Rtheta = Rtheta[:, None]
     AP = A @ P
     RQ = Rtheta @ Q
     total = 0.0
@@ -73,78 +63,53 @@ def decomposition_sum(A, Rtheta, P, Q) -> float:
     return math.sqrt(total)
 
 
-def _trivial_witness(n: int, d: int, swapped: bool) -> DecompositionWitness:
-    k = min(n, d)
+def _oriented_pair(A, Rtheta):
+    """Compressed (left, right, swapped), left the wider block (n >= d)."""
+    cp = compress_pair(A, Rtheta)
+    if cp.TR.shape[1] > cp.TA.shape[1]:
+        return cp.TR, cp.TA, True
+    return cp.TA, cp.TR, False
+
+
+def _witness(left, right, P, Q, swapped: bool,
+             eps: float = 0.0) -> DecompositionWitness:
+    """Witness of (P, Q) on the oriented pair, in the caller's orientation."""
+    LP, RQ = left @ P, right @ Q
+    summands = np.array(
+        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(P.shape[1])])
+    if swapped:
+        P, Q = Q, P
     return DecompositionWitness(
-        P=np.eye(n, k), Q=np.eye(d, k), summands=np.zeros(k), total=0.0,
-        k=k, swapped=swapped)
+        P=P, Q=Q, summands=summands, total=float(np.linalg.norm(summands)),
+        k=summands.size, swapped=swapped, regularization_eps=eps)
 
 
 def optimal_pq(A, Rtheta) -> DecompositionWitness:
     """Construct a maximizing (P, Q) for the rank-one decomposition.
 
-    Route: compress the pair, form the Gram matrix of [A, Rtheta], solve
-    the signature pencil, take the negative-eigenvalue block (which already
-    satisfies X'JX = -I), and run the hyperbolic CS decomposition on it;
-    P comes out of the upper block and Q out of the lower one.  When
-    d > n the two inputs swap roles (the backward error is symmetric), and
-    the witness reports the orientation used.  Rank-deficient pairs get a
-    diagonal Gram shift; a NotFeasible from the CS step is retried once
-    with a larger shift.
+    Route: compress the pair, solve the Gram pencil of [A, Rtheta] against
+    the signature J (pencil.gram_pencil), take the negative-eigenvalue
+    block (which already satisfies X'JX = -I), and run the hyperbolic CS
+    decomposition on it; P comes out of the upper block and Q out of the
+    lower one.  When d > n the two inputs swap roles (the backward error
+    is symmetric), and the witness reports the orientation used.
+    Rank-deficient pairs get a diagonal Gram shift; a NotFeasible from the
+    CS step is retried once with 100 times that shift.  When m < n + d the
+    Gram matrix is singular, and the route can raise NotFeasible or lose
+    about half its digits.
     """
-    Rtheta = np.asarray(Rtheta, dtype=float)
-    if Rtheta.ndim == 1:
-        Rtheta = Rtheta[:, None]
-    cp = compress_pair(A, Rtheta)
-    left, right = cp.TA, cp.TR
-    swapped = False
-    if right.shape[1] > left.shape[1]:
-        left, right = right, left
-        swapped = True
+    left, right, swapped = _oriented_pair(A, Rtheta)
     n, d = left.shape[1], right.shape[1]
-
     if float(np.linalg.norm(right)) == 0.0:
-        w = _trivial_witness(n, d, swapped)
-        return _orient(w, swapped)
-
-    T = np.hstack([left, right])
-    M = T.T @ T
-    M = 0.5 * (M + M.T)
-    sig = JSignature(n, d)
-    base_shift = _gram_shift(float(np.linalg.norm(left)),
-                             float(np.linalg.norm(right)))
-
-    eps = 0.0
+        return _witness(left, right, np.eye(n, d), np.eye(d), swapped)
+    pe, eps = gram_pencil(left, right)
     try:
-        pe = j_pencil_eig(M, sig)
-    except NotPositiveDefinite:
-        eps = base_shift
-        pe = j_pencil_eig(M + eps * np.eye(n + d), sig)
-    try:
-        cs = hyperbolic_cs(pe.negative_block(), sig)
+        cs = hyperbolic_cs(pe.negative_block(), pe.sig)
     except NotFeasible:
         # Degenerate rank case: retry once with a larger shift.
-        eps = (eps if eps > 0.0 else base_shift) * 100.0
-        pe = j_pencil_eig(M + eps * np.eye(n + d), sig)
-        cs = hyperbolic_cs(pe.negative_block(), sig)
-
-    P, Q = cs.P, cs.Q
-    LP = left @ P
-    RQ = right @ Q
-    summands = np.array(
-        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(d)])
-    total = float(np.linalg.norm(summands))
-    w = DecompositionWitness(P=P, Q=Q, summands=summands, total=total,
-                             k=d, swapped=swapped, regularization_eps=eps)
-    return _orient(w, swapped)
-
-
-def _orient(w: DecompositionWitness, swapped: bool) -> DecompositionWitness:
-    if not swapped:
-        return w
-    return DecompositionWitness(
-        P=w.Q, Q=w.P, summands=w.summands, total=w.total, k=w.k,
-        swapped=True, regularization_eps=w.regularization_eps)
+        pe, eps = gram_pencil(left, right, 100.0 * gram_shift(left, right))
+        cs = hyperbolic_cs(pe.negative_block(), pe.sig)
+    return _witness(left, right, cs.P, cs.Q, swapped, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +194,7 @@ def brute_force_max(A, Rtheta, trials: int = 200, polish_steps: int = 20,
     Per-trial randomness derives from (seed, trial index), so trials are
     independent and reproducible.
     """
-    Rtheta = np.asarray(Rtheta, dtype=float)
-    if Rtheta.ndim == 1:
-        Rtheta = Rtheta[:, None]
-    cp = compress_pair(A, Rtheta)
-    TA, TR = cp.TA, cp.TR
-    swapped = False
-    if TR.shape[1] > TA.shape[1]:
-        TA, TR = TR, TA
-        swapped = True
+    TA, TR, swapped = _oriented_pair(A, Rtheta)
     n, d = TA.shape[1], TR.shape[1]
     if n > _MAX_N or d > _MAX_D:
         raise SizeGuard(f"brute force limited to n <= {_MAX_N}, d <= {_MAX_D}")
@@ -268,14 +225,8 @@ def brute_force_max(A, Rtheta, trials: int = 200, polish_steps: int = 20,
         if best is None or val > best[0]:
             best = (val, P, Q)
 
-    val, P, Q = best
-    LP, RQ = TA @ P, TR @ Q
-    summands = np.array(
-        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(k)])
-    w = DecompositionWitness(
-        P=P, Q=Q, summands=summands, total=float(np.linalg.norm(summands)),
-        k=k, swapped=swapped)
-    return _orient(w, swapped)
+    _, P, Q = best
+    return _witness(TA, TR, P, Q, swapped)
 
 
 __all__ = ["DecompositionWitness", "optimal_pq", "decomposition_sum",

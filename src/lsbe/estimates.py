@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL_RANK, KWFactorization, is_sparse, kw_factorization
+from .core import (TOL_RANK, KWFactorization, _as_2d, is_sparse,
+                   kw_factorization)
 from .errors import BothZero, ShiftNotPD, ZeroDeflator
 from .exact import mu_exact
 
@@ -71,17 +72,15 @@ def kw(A, r_theta) -> float:
     """
     r = np.asarray(r_theta, dtype=float).ravel()
     At_r = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ r
-    return sketched_kw(kw_factorization(A, "exact_A"), At_r,
+    return sketched_kw(kw_factorization(A), At_r,
                        float(np.linalg.norm(r)))
 
 
 def kw_multi(A, Rtheta) -> float:
     """Multi-right-hand-side estimate: the root sum of squares of nu over
     the right singular vectors of Rtheta."""
-    Rtheta = np.asarray(Rtheta, dtype=float)
-    if Rtheta.ndim == 1:
-        Rtheta = Rtheta[:, None]
-    kwf = kw_factorization(A, "exact_A")
+    Rtheta = _as_2d(Rtheta, "Rtheta")
+    kwf = kw_factorization(A)
     At_R = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ Rtheta
     _, sR, Wt = np.linalg.svd(Rtheta, full_matrices=False)
     total = 0.0
@@ -98,15 +97,8 @@ def lb_direction(kwf: KWFactorization, At_r, norm_r: float,
     Raises ShiftNotPD when mu_est^2 >= ||r||^2 + sigma_min^2(SA); the
     caller should reset mu_est to 0.
     """
-    At_r = np.asarray(At_r, dtype=float).ravel()
-    s = kwf.singular_values
-    shift = norm_r ** 2 - mu_est ** 2
-    smin2 = float(s[-1] ** 2)
-    if shift + smin2 <= 0.0:
-        raise ShiftNotPD(
-            "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
-    z = kwf.right_vectors.T @ At_r
-    return kwf.right_vectors @ (z / (s * s + shift))
+    return kwf.solve(np.asarray(At_r, dtype=float).ravel(),
+                     norm_r ** 2 - mu_est ** 2)
 
 
 def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
@@ -118,14 +110,10 @@ def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
     """
     p_tilde = np.asarray(p_tilde, dtype=float).ravel()
     r = np.asarray(r_theta, dtype=float).ravel()
-    s = kwf.singular_values
     shift = norm_r ** 2 - mu_est ** 2
-    if shift + float(s[-1] ** 2) <= 0.0:
-        raise ShiftNotPD(
-            "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
+    kwf.check_shift(shift)  # before spending any product
     residual = A_ops.rmatvec(r - A_ops.matvec(p_tilde)) - shift * p_tilde
-    z = kwf.right_vectors.T @ residual
-    return p_tilde + kwf.right_vectors @ (z / (s * s + shift))
+    return p_tilde + kwf.solve(residual, shift)
 
 
 def ub_deflation(Ap_tilde, r_theta, At_u) -> float:
@@ -150,9 +138,7 @@ def ub_deflation(Ap_tilde, r_theta, At_u) -> float:
 def ub_generous(A_cols_2, Ur) -> float:
     """Upper bound mu(U'A, U'r_theta) for an orthonormal basis U of
     [Ap, r_theta]; A_cols_2 holds the compressed rows U'A."""
-    A2 = np.asarray(A_cols_2, dtype=float)
-    Ur = np.asarray(Ur, dtype=float).ravel()
-    return mu_exact(A2, Ur[:, None]).mu
+    return mu_exact(A_cols_2, np.ravel(Ur)).mu
 
 
 def pair_basis(Ap, r_theta, tol: float = TOL_RANK) -> np.ndarray:

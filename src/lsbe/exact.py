@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import compress_pair, is_sparse, kw_factorization
-from .errors import NoConvergence, NotPositiveDefinite
-from .pencil import JSignature, j_pencil_eig, tr_minus
+from .errors import NoConvergence
+from .pencil import gram_pencil, tr_minus
 
 # Counts the times roundoff drove mu^2 slightly negative and the result was
 # clamped to zero.  Nonnegativity holds analytically, so this is purely a
@@ -43,16 +43,6 @@ class MuResult:
     regularization_eps: float = 0.0
 
 
-def _gram_shift(*norms: float) -> float:
-    # Diagonal shift applied to a Gram matrix when its Cholesky fails.  The
-    # shift must be representable against entries of size scale^2 and clear
-    # the rounding noise of the failed pivots, but every order of magnitude
-    # costs accuracy in mu (O(shift) at simple eigenvalues, O(sqrt(shift))
-    # at degenerate ones).
-    scale2 = max(max(norms) ** 2, 1e-300)
-    return 1e-12 * scale2
-
-
 def _clamped_sqrt(mu2: float) -> float:
     if mu2 < 0.0:
         _register_clamp()
@@ -69,7 +59,6 @@ def mu_exact(A, Rtheta) -> MuResult:
     """
     cp = compress_pair(A, Rtheta)
     W = cp.TA @ cp.TA.T - cp.TR @ cp.TR.T
-    W = 0.5 * (W + W.T)
     mu2 = cp.normR ** 2 + tr_minus(W)
     return MuResult(mu=_clamped_sqrt(mu2), method="eig")
 
@@ -94,7 +83,7 @@ def mu_sigma_min(A, r_theta) -> MuResult:
     norm_r = float(np.linalg.norm(r))
     if norm_r == 0.0:
         return MuResult(mu=0.0, method="sigma_min")
-    cp = compress_pair(A, r[:, None])
+    cp = compress_pair(A, r)
     Ared, rred = cp.TA, cp.TR[:, 0]
     k = Ared.shape[0]
     proj = np.eye(k) - np.outer(rred, rred) / float(rred @ rred)
@@ -187,25 +176,15 @@ def mu_gevp(A, r_theta) -> MuResult:
     pencil ([A, r]'[A, r], J), which is positive definite whenever [A, r]
     has full column rank, so the symmetric-eigensolver route applies:
     mu^2 equals the (single) negative eigenvalue plus ||r||^2.  When the
-    Cholesky fails, a diagonal Gram shift is applied once;
-    NotPositiveDefinite propagates if that retry also fails.
+    Cholesky fails, the diagonal Gram shift of pencil.gram_pencil is
+    applied once; NotPositiveDefinite propagates if that retry also fails.
     """
     r = _as_vector(r_theta)
     norm_r = float(np.linalg.norm(r))
     if norm_r == 0.0:
         return MuResult(mu=0.0, method="gevp")
-    cp = compress_pair(A, r[:, None])
-    T = np.hstack([cp.TA, cp.TR])
-    C = T.T @ T
-    C = 0.5 * (C + C.T)
-    n = cp.TA.shape[1]
-    sig = JSignature(n, 1)
-    eps = 0.0
-    try:
-        pe = j_pencil_eig(C, sig)
-    except NotPositiveDefinite:
-        eps = _gram_shift(float(np.linalg.norm(cp.TA)), norm_r)
-        pe = j_pencil_eig(C + eps * np.eye(n + 1), sig)
+    cp = compress_pair(A, r)
+    pe, eps = gram_pencil(cp.TA, cp.TR)
     lam_neg = float(pe.lambdas[-1])
     # The shifted problem is the exact backward error of the pair augmented
     # by sqrt(eps)-scaled identity blocks, whose residual norm picks up eps.
@@ -218,7 +197,7 @@ def mu_all_methods(A, r_theta, tol: float = 1e-12) -> dict[str, MuResult]:
     """All four exact routes on a single-right-hand-side pair."""
     r = _as_vector(r_theta)
     return {
-        "eig": mu_exact(A, r[:, None]),
+        "eig": mu_exact(A, r),
         "sigma_min": mu_sigma_min(A, r),
         "fixed_point": mu_fixed_point(A, r, tol=tol),
         "gevp": mu_gevp(A, r),

@@ -1,7 +1,8 @@
 """Indefinite linear algebra kernels.
 
 Provides the generalized eigensolver for a symmetric positive definite
-matrix M against the signature matrix J = diag(I_n, -I_d), the sum of
+matrix M against the signature matrix J = diag(I_n, -I_d), the Gram pencil
+of a pair [left, right] with its diagonal-shift policy, the sum of
 negative eigenvalues of a symmetric matrix, and the hyperbolic CS
 decomposition of matrices X with X'JX = -I_d.  All functions are pure.
 """
@@ -130,6 +131,31 @@ def j_pencil_eig(M, sig: JSignature) -> PencilEigen:
         raise NotPositiveDefinite(
             "computed inertia disagrees with the signature")
     return PencilEigen(V=V, lambdas=lam, sig=sig)
+
+
+def gram_shift(left, right) -> float:
+    """Diagonal shift for the Gram matrix of [left, right] when its
+    Cholesky fails: 1e-12 times the larger squared block norm.  It clears
+    the rounding noise of the failed pivots but costs accuracy in mu:
+    O(shift) at simple eigenvalues, O(sqrt(shift)) at degenerate ones."""
+    scale = max(float(np.linalg.norm(left)), float(np.linalg.norm(right)))
+    return 1e-12 * max(scale ** 2, 1e-300)
+
+
+def gram_pencil(left, right, eps: float = 0.0) -> tuple[PencilEigen, float]:
+    """The pencil ([left, right]'[left, right] + eps I, diag(I_n, -I_d))
+    for an m x n left and m x d right, with the shift applied.  With
+    eps = 0 a failed Cholesky is retried once with gram_shift(left, right);
+    NotPositiveDefinite propagates from the last attempt."""
+    T = np.hstack([left, right])
+    M = T.T @ T
+    sig = JSignature(left.shape[1], right.shape[1])
+    if eps == 0.0:
+        try:
+            return j_pencil_eig(M, sig), 0.0
+        except NotPositiveDefinite:
+            eps = gram_shift(left, right)
+    return j_pencil_eig(M + eps * np.eye(sig.size), sig), eps
 
 
 def _signed_eig_sums(Msym) -> tuple[float, float]:

@@ -70,6 +70,12 @@ class SketchOperator:
                 object.__setattr__(self, "subspace", U)
 
 
+def sketch_rows(factor: float, n: int) -> int:
+    """Rows of a sketch sized factor * n for A with n columns: the floor of
+    factor * n, never fewer than n."""
+    return max(n, int(factor * n))
+
+
 def _synthetic_parts(S: SketchOperator):
     rng = np.random.default_rng(S.seed)
     lift, _ = np.linalg.qr(rng.standard_normal((S.rows, S.cols)))
@@ -177,4 +183,5 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
     return 1.0 - float(np.sqrt(gamma[0])), float(np.sqrt(gamma[-1])) - 1.0
 
 
-__all__ = ["SketchOperator", "apply_sketch", "measure_distortion"]
+__all__ = ["SketchOperator", "apply_sketch", "measure_distortion",
+           "sketch_rows"]

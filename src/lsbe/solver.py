@@ -57,6 +57,9 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1 (or None)")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be nonnegative")
+        if self.norm_A_2 is not None and not (
+                math.isfinite(self.norm_A_2) and self.norm_A_2 > 0):
+            raise ValueError("norm_A_2 must be finite and positive (or None)")
 
 
 TRACE_COLUMNS = [
@@ -198,7 +201,7 @@ def recycle_policy(row: TraceRow, direction: RecycledDirection,
     below the configured threshold; keep otherwise.  config.norm_A_2 must
     be resolved (the solver always passes a resolved config).
     """
-    if config.norm_A_2 is None or config.norm_A_2 <= 0.0:
+    if config.norm_A_2 is None:
         raise ValueError("recycle_policy needs a resolved norm_A_2")
     rel = row.lb_recycled / config.norm_A_2
     return "recompute" if rel < config.recycle_threshold else "keep"
@@ -215,13 +218,13 @@ class _TrueMu:
 
     def __init__(self, A):
         self.A = A
-        self.kwf = kw_factorization(A, "exact_A")
+        self.kwf = kw_factorization(A)
 
     def __call__(self, r_theta: np.ndarray) -> float:
         try:
             return mu_fixed_point(self.A, r_theta, kwf=self.kwf).mu
         except NoConvergence:
-            return mu_exact(self.A, r_theta[:, None]).mu
+            return mu_exact(self.A, r_theta).mu
 
 
 ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
@@ -335,13 +338,14 @@ def lsmr(A, b, config: SolverConfig | None = None,
         raise ValueError("b contains non-finite entries")
 
     norm_A_fro = _frobenius_norm(A)
+    if config.compute_true_mu and norm_A_fro is None:
+        raise ValueError(
+            "compute_true_mu needs A as an ndarray or a sparse matrix")
     fro_source = "input" if norm_A_fro is not None else "recurrence"
-    if config.norm_A_2 is not None:
-        norm_A_2 = config.norm_A_2
-    else:
-        norm_A_2 = _power_spectral_norm(ops)
+    norm_A_2 = config.norm_A_2 or _power_spectral_norm(ops)
     setup_mv, setup_rmv = ops.matvecs, ops.rmatvecs
-    config = replace(config, norm_A_2=norm_A_2)
+    if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
+        config = replace(config, norm_A_2=norm_A_2)
     max_iters = config.max_iters or 5 * min(m, n)
     true_mu = _TrueMu(A) if config.compute_true_mu else None
 

@@ -132,14 +132,15 @@ def test_estimate_mu_est_above_sketch_limit_resets(capsys):
 
 def test_estimate_factors_A_once(capsys, monkeypatch):
     # One factorization of A (nu and the fixed-point route) and one of the
-    # sketch, counted under every name an lsbe module binds it to.
+    # sketch, counted under every name an lsbe module binds it to and told
+    # apart by the shape of the factored matrix: A is 20 x 5, the 6n
+    # sketch SA is 30 x 5.
     original = lsbe.core.kw_factorization
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("source", args[1] if len(args) > 1
-                                else "exact_A"))
-        return original(*args, **kwargs)
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
 
     for name, mod in list(sys.modules.items()):
         if name == "lsbe" or name.startswith("lsbe."):
@@ -147,7 +148,7 @@ def test_estimate_factors_A_once(capsys, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
     assert main(["estimate", TINY, *TINY_XB]) == 0
-    assert sorted(calls) == ["exact_A", "sketched_SA"]
+    assert sorted(calls) == [(20, 5), (30, 5)]
 
 
 def test_solve_smoke_and_csv_schema(tmp_path):
@@ -220,7 +221,11 @@ def test_missing_file_exit_code(tmp_path):
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-iters", "0", "max_iters"),
-    ("--refine-steps", "-1", "refine_steps")])
+    ("--refine-steps", "-1", "refine_steps"),
+    ("--norm-a2", "0", "norm_A_2"),
+    ("--norm-a2", "-1", "norm_A_2"),
+    ("--norm-a2", "nan", "norm_A_2"),
+    ("--norm-a2", "inf", "norm_A_2")])
 def test_solve_rejects_invalid_counts(tmp_path, capsys, flag, value, field):
     out = tmp_path / "t.csv"
     assert main(["solve", TINY, flag, value, "--out", str(out)]) == 2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lsbe import (brute_force_max, decomposition_sum, mu_exact, mu_rank_one,
                   optimal_pq)
-from lsbe.errors import ColumnsNotOrthonormal, SizeGuard
+from lsbe.errors import ColumnsNotOrthonormal, NotFeasible, SizeGuard
 
 from conftest import random_orthonormal
 
@@ -70,6 +70,16 @@ def test_unbounded_feasible_set_still_attained():
     wit = optimal_pq(np.array([[1.0]]), np.array([[1.0]]))
     assert wit.regularization_eps > 0.0
     assert wit.total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=NotFeasible,
+                   reason="m < n + d: the Gram matrix of [A, R] is singular "
+                          "and the CS step fails even after the shift")
+def test_optimal_pq_short_pair():
+    rng = np.random.default_rng(0)
+    A, R = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+    assert optimal_pq(A, R).total == pytest.approx(mu_exact(A, R).mu,
+                                                   rel=1e-7)
 
 
 def test_decomposition_sum_from_witness(rng):

@@ -140,14 +140,14 @@ def test_sketched_kw_identity_sketch_equals_kw(rng):
     A = rng.standard_normal((9, 4))
     r = rng.standard_normal(9)
     S = SketchOperator(kind="identity", rows=9, cols=9)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    kwf = kw_factorization(apply_sketch(S, A))
     val = sketched_kw(kwf, A.T @ r, float(np.linalg.norm(r)))
     assert val == pytest.approx(kw(A, r), rel=1e-12)
 
 
 def test_sketched_kw_zero():
     A = np.array([[1.0], [0.0]])
-    kwf = kw_factorization(A, "sketched_SA")
+    kwf = kw_factorization(A)
     assert sketched_kw(kwf, np.zeros(1), 1.0) == 0.0
 
 
@@ -159,7 +159,7 @@ def test_sketched_kw_within_distortion_window(rng):
     # Distortion measured by a dense sweep of ||SAy|| / ||Ay||.
     lo, hi = measure_distortion(S, A, trials=500, seed=3)
     eta = max(abs(lo), abs(hi))
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    kwf = kw_factorization(apply_sketch(S, A))
     nu = kw(A, r)
     nu_sk = sketched_kw(kwf, A.T @ r, float(np.linalg.norm(r)))
     assert nu / (1.0 + eta) - 1e-12 <= nu_sk <= nu / (1.0 - eta) + 1e-12
@@ -168,7 +168,7 @@ def test_sketched_kw_within_distortion_window(rng):
 # --- lower-bound pipeline -----------------------------------------------------
 
 def _exact_kwf(A):
-    return kw_factorization(A, "exact_A")
+    return kw_factorization(A)
 
 
 def test_lb_direction_zero_input(rng):
@@ -205,6 +205,18 @@ def test_lb_direction_shift_guard(rng):
                      mu_est=huge)
 
 
+def test_kw_factorization_solve_matches_dense(rng):
+    M = rng.standard_normal((9, 4))
+    rhs = rng.standard_normal(4)
+    kwf = kw_factorization(M)
+    smin2 = float(kwf.singular_values[-1] ** 2)
+    for shift in (1.0, 0.0, -0.5 * smin2):
+        ref = np.linalg.solve(M.T @ M + shift * np.eye(4), rhs)
+        assert np.allclose(kwf.solve(rhs, shift), ref, rtol=1e-10)
+    with pytest.raises(ShiftNotPD):
+        kwf.solve(rhs, -smin2)
+
+
 def test_lb_evaluate_orthogonal_is_zero():
     assert mu_rank_one(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
@@ -239,7 +251,7 @@ def test_lb_refine_zero_correction_at_true_solution(rng):
     norm_r = float(np.linalg.norm(r))
     p_true = np.linalg.solve(A.T @ A + norm_r ** 2 * np.eye(4), A.T @ r)
     S = SketchOperator(kind="gaussian", rows=24, cols=30, seed=5)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    kwf = kw_factorization(apply_sketch(S, A))
     p2 = lb_refine(p_true, kwf, as_operator(A), r, norm_r, 0.0)
     assert np.allclose(p2, p_true, rtol=1e-9, atol=1e-12)
 
@@ -257,7 +269,7 @@ def test_lb_refine_statistical_improvement():
         r = rng.standard_normal(m)
         norm_r = float(np.linalg.norm(r))
         S = SketchOperator(kind="gaussian", rows=16 * n, cols=m, seed=t)
-        kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+        kwf = kw_factorization(apply_sketch(S, A))
         p0 = lb_direction(kwf, A.T @ r, norm_r, 0.0)
         lb0 = mu_rank_one(A @ (p0 / np.linalg.norm(p0)), r)
         p1 = lb_refine(p0, kwf, as_operator(A), r, norm_r, 0.0)
@@ -275,7 +287,7 @@ def test_lb_recycled_matches_fresh_bitwise(rng):
     A = rng.standard_normal((12, 4))
     r = rng.standard_normal(12)
     ops = CountingOperator(A)
-    kwf = kw_factorization(A, "exact_A")
+    kwf = kw_factorization(A)
     args = (ops, kwf, r, float(np.linalg.norm(r)), A.T @ r)
     values, fresh = estimate_bounds(*args)
     assert values["lb_recycled"] == values["lb_fresh"]
@@ -412,7 +424,7 @@ def test_sketched_lower_bound_guarantee_synthetic(rng):
             U, _ = np.linalg.qr(A)
             S = SketchOperator(kind="synthetic_eta", rows=m, cols=m,
                                seed=trial, eta=eta, subspace=U[:, :2])
-            kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+            kwf = kw_factorization(apply_sketch(S, A))
             p = lb_direction(kwf, A.T @ r, float(np.linalg.norm(r)), 0.0)
             np_t = np.linalg.norm(p)
             if np_t == 0.0:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsbe.errors import DimensionMismatch, NotFeasible, NotPositiveDefinite
-from lsbe.pencil import (HyperbolicCS, JSignature, hyperbolic_cs,
-                         j_pencil_eig, tr_minus, tr_plus)
+from lsbe.pencil import (HyperbolicCS, JSignature, gram_pencil, gram_shift,
+                         hyperbolic_cs, j_pencil_eig, tr_minus, tr_plus)
 
 from conftest import random_orthogonal, random_orthonormal
 
@@ -142,3 +142,30 @@ def test_pencil_matches_difference_spectrum(rng):
     w = np.linalg.eigvalsh(0.5 * (W + W.T))
     nonzero = np.sort(w[np.argsort(np.abs(w))[-(n + d):]])[::-1]
     assert np.allclose(pe.lambdas, nonzero, rtol=1e-8, atol=1e-10)
+
+
+def test_gram_pencil_full_rank_needs_no_shift(rng):
+    left = rng.standard_normal((9, 3))
+    right = rng.standard_normal((9, 2))
+    pe, eps = gram_pencil(left, right)
+    T = np.hstack([left, right])
+    ref = j_pencil_eig(T.T @ T, JSignature(3, 2))
+    assert eps == 0.0 and pe.sig == JSignature(3, 2)
+    assert np.array_equal(pe.lambdas, ref.lambdas)
+
+
+def test_gram_pencil_shifts_once_on_singular_gram(rng):
+    # [left, right] has 4 columns but rank 3: the Cholesky fails, and the
+    # retry uses 1e-12 times the larger squared block norm.
+    left = rng.standard_normal((6, 3))
+    right = left[:, :1] * 2.0
+    T = np.hstack([left, right])
+    with pytest.raises(NotPositiveDefinite):
+        j_pencil_eig(T.T @ T, JSignature(3, 1))
+    pe, eps = gram_pencil(left, right)
+    scale = max(np.linalg.norm(left), np.linalg.norm(right))
+    assert eps == gram_shift(left, right) == pytest.approx(1e-12 * scale ** 2)
+    # A positive eps is applied outright.
+    pe2, eps2 = gram_pencil(left, right, 100.0 * eps)
+    assert eps2 == 100.0 * eps
+    assert not np.array_equal(pe.lambdas, pe2.lambdas)

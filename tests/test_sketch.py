@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from lsbe.errors import RankDeficient, ShapeMismatch
 from lsbe.sketch import (SketchOperator, _sparse_sign_matrix, apply_sketch,
-                         measure_distortion)
+                         measure_distortion, sketch_rows)
 
 
 def test_identity_bitwise(rng):
@@ -167,3 +167,9 @@ def test_regularization_never_worsens_distortion(rng):
         lo, hi = 1 - np.sqrt(g[0]), np.sqrt(g[-1]) - 1
         assert lo <= lo0 + 1e-12
         assert hi <= hi0 + 1e-12
+
+
+def test_sketch_rows_rule():
+    assert [sketch_rows(f, 150) for f in (1.5, 6, 16)] == [225, 900, 2400]
+    assert sketch_rows(1.5, 5) == 7  # floor(7.5)
+    assert sketch_rows(0.5, 40) == 40  # never fewer rows than columns

@@ -19,7 +19,7 @@ def _sketch_hooks(A, factor=6, seed=0):
     m, n = A.shape
     rows = max(n, int(factor * n))
     S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=seed)
-    kwf = kw_factorization(apply_sketch(S, A), "sketched_SA")
+    kwf = kw_factorization(apply_sketch(S, A))
     return EstimatorHooks(kwf=kwf)
 
 
@@ -349,10 +349,46 @@ def test_config_validation():
         SolverConfig(atol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(estimate_every=0)
-    for bad in ({"max_iters": 0}, {"max_iters": -3}, {"refine_steps": -1}):
+    for bad in ({"max_iters": 0}, {"max_iters": -3}, {"refine_steps": -1},
+                {"norm_A_2": 0.0}, {"norm_A_2": -1.0},
+                {"norm_A_2": math.nan}, {"norm_A_2": math.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=1, refine_steps=0).max_iters == 1
+    assert SolverConfig(norm_A_2=2.5).norm_A_2 == 2.5
+
+
+def test_zero_matrix_converges_at_once():
+    # Power iteration gives ||A||_2 = 0, which SolverConfig rejects; lsmr
+    # must not store it and stops before the first trace row.
+    x, trace, stop = lsmr(np.zeros((5, 3)), np.ones(5))
+    assert stop == "converged" and not trace.rows and trace.norm_A_2 == 0.0
+    assert np.all(x == 0.0)
+
+
+def test_true_mu_rejects_bare_operator(rng):
+    # An operator with only matvec/rmatvec/shape cannot be factored for
+    # the exact backward error: refuse at entry, before any product.
+    A = rng.standard_normal((12, 4))
+
+    class Op:
+        shape = A.shape
+        products = 0
+
+        def matvec(self, v):
+            Op.products += 1
+            return A @ v
+
+        def rmatvec(self, u):
+            Op.products += 1
+            return A.T @ u
+
+    with pytest.raises(ValueError, match="compute_true_mu"):
+        lsmr(Op(), rng.standard_normal(12), SolverConfig(compute_true_mu=True))
+    assert Op.products == 0
+    _, trace, _ = lsmr(Op(), rng.standard_normal(12),
+                       SolverConfig(estimate_every=5))
+    assert trace.rows and math.isnan(trace.rows[-1].mu_true)
 
 
 # Reference rows for _regression_run, written by a version that took the
