@@ -2,8 +2,7 @@
 squares, with an LSMR harness that traces every estimate per iteration."""
 
 from .core import (CompressedPair, LSProblem, MatrixOperator,
-                   WeightedResidual, as_operator, compress_pair,
-                   weighted_residual)
+                   WeightedResidual, compress_pair, weighted_residual)
 from .decomposition import (DecompositionWitness, brute_force_max,
                             decomposition_sum, optimal_pq)
 from .estimates import (KWFactorization, RecycledDirection, kw,
@@ -15,15 +14,15 @@ from .exact import (MuResult, mu_all_methods, mu_exact, mu_fixed_point,
 from .pencil import (HyperbolicCS, JSignature, PencilEigen, hyperbolic_cs,
                      j_pencil_eig, tr_minus, tr_plus)
 from .sketch import SketchOperator, apply_sketch, measure_distortion
-from .solver import (TRACE_COLUMNS, CountingOperator, EstimatorHooks,
-                     SolverConfig, SolverTrace, TraceRow, estimate_bounds,
-                     lsmr, recycle_policy)
+from .solver import (TRACE_COLUMNS, CountingOperator, SolverConfig,
+                     SolverTrace, TraceRow, estimate_bounds, lsmr,
+                     recycle_policy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LSProblem", "WeightedResidual", "CompressedPair", "MatrixOperator",
-    "weighted_residual", "compress_pair", "as_operator",
+    "weighted_residual", "compress_pair",
     "JSignature", "PencilEigen", "HyperbolicCS", "j_pencil_eig", "tr_minus",
     "tr_plus", "hyperbolic_cs",
     "MuResult", "mu_exact", "mu_sigma_min", "mu_fixed_point", "mu_gevp",
@@ -35,6 +34,6 @@ __all__ = [
     "brute_force_max",
     "SketchOperator", "apply_sketch", "measure_distortion",
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "EstimatorHooks", "CountingOperator", "lsmr", "recycle_policy",
-    "estimate_bounds", "__version__",
+    "CountingOperator", "lsmr", "recycle_policy", "estimate_bounds",
+    "__version__",
 ]

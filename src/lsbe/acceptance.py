@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import LSProblem, weighted_residual
+from .core import LSProblem, MatrixOperator, weighted_residual
 from .decomposition import brute_force_max, decomposition_sum, optimal_pq
 from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
 from .sketch import (SketchOperator, apply_sketch, measure_distortion,
                      sketch_rows)
-from .solver import EstimatorHooks, SolverConfig, lsmr
+from .solver import SolverConfig, _power_spectral_norm, lsmr
 
 GL7D12_SHAPE = (8899, 1019)
 GL7D12_DEFAULT_PATHS = ("data/GL7d12.mtx", "GL7d12.mtx",
@@ -340,15 +340,21 @@ def criterion_hyperbolic_cs(n_instances: int = 500, seed: int = 0
         f" worst_Q_orth={worst_orth:.3e} instances={n_instances}")
 
 
-def _trace_run(A, b, factor: int | float, seed: int, refine_steps: int = 1):
+def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
+    """b = A x + 1e-4 ||A||_2 w for the trace runs: x, then w, drawn from
+    rng as Gaussians of unit expected norm."""
+    m, n = A.shape
+    x_true = rng.standard_normal(n) / math.sqrt(n)
+    w = rng.standard_normal(m) / math.sqrt(m)
+    return A @ x_true + 1e-4 * norm_A_2 * w
+
+
+def _trace_run(A, b, factor: int | float, seed: int, config: SolverConfig):
+    """lsmr on (A, b) with a Gaussian sketch of factor * n rows."""
     m, n = A.shape
     S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
                        seed=seed)
-    kwf = kw_factorization(apply_sketch(S, A))
-    config = SolverConfig(atol=1e-12, estimate_every=1,
-                          refine_steps=refine_steps, compute_true_mu=True)
-    hooks = EstimatorHooks(kwf=kwf)
-    return lsmr(A, b, config, hooks)
+    return lsmr(A, b, config, kw_factorization(apply_sketch(S, A)))
 
 
 def criterion_trace_soundness(seed: int = 0) -> CriterionResult:
@@ -364,18 +370,16 @@ def criterion_trace_soundness(seed: int = 0) -> CriterionResult:
     A = A + 0.1 * sp.random(m, n, density=0.05,
                             random_state=np.random.RandomState(
                                 int(rng.integers(0, 2 ** 31))), format="csr")
-    norm_A_2 = float(np.linalg.norm(A.toarray(), 2))
-    x_true = rng.standard_normal(n) / math.sqrt(n)
-    w = rng.standard_normal(m) / math.sqrt(m)
-    b = A @ x_true + 1e-4 * norm_A_2 * w
-
+    b = seeded_rhs(A, float(np.linalg.norm(A.toarray(), 2)), rng)
+    config = SolverConfig(atol=1e-12, estimate_every=1, refine_steps=1,
+                          compute_true_mu=True)
     problems = []
     worst_lb = -math.inf
     worst_ub = -math.inf
     ratio_ok = True
     accounting_ok = True
     for factor in (1.5, 6, 16):
-        x, trace, stop = _trace_run(A, b, factor, seed=int(seed) + 17)
+        x, trace, stop = _trace_run(A, b, factor, int(seed) + 17, config)
         rows = trace.rows
         if not rows:
             problems.append(f"factor {factor}: empty trace")
@@ -441,22 +445,14 @@ def criterion_gl7d12(path: str | None = None, seed: int = 0
         return CriterionResult(
             "gl7d12-reproduction", False,
             f"unexpected shape {A.shape} at {found}")
-    from .solver import CountingOperator, _power_spectral_norm
-
-    m, n = A.shape
-    rng = np.random.default_rng(seed)
-    norm_A_2 = _power_spectral_norm(CountingOperator(A))
-    b = (A @ (rng.standard_normal(n) / math.sqrt(n))
-         + 1e-4 * norm_A_2 * rng.standard_normal(m) / math.sqrt(m))
+    norm_A_2 = _power_spectral_norm(MatrixOperator(A))
+    b = seeded_rhs(A, norm_A_2, np.random.default_rng(seed))
+    config = SolverConfig(atol=1e-12, estimate_every=10, refine_steps=1,
+                          max_iters=4000, norm_A_2=norm_A_2)
     problems = []
     t0 = time.perf_counter()
     for factor in (1.5, 6, 16):
-        S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n),
-                           cols=m, seed=seed)
-        kwf = kw_factorization(apply_sketch(S, A))
-        config = SolverConfig(atol=1e-12, estimate_every=10, refine_steps=1,
-                              max_iters=4000, norm_A_2=norm_A_2)
-        x, trace, stop = lsmr(A, b, config, EstimatorHooks(kwf=kwf))
+        x, trace, stop = _trace_run(A, b, factor, seed, config)
         rows = trace.rows
         if not rows:
             problems.append(f"factor {factor}: no trace rows")
@@ -508,7 +504,7 @@ def run_all(trials: int | None = None, scale: float = 1.0, seed: int = 0,
     return results
 
 
-__all__ = ["CriterionResult", "run_all", "find_gl7d12",
+__all__ = ["CriterionResult", "run_all", "find_gl7d12", "seeded_rhs",
            "criterion_four_way", "criterion_rank_one",
            "criterion_attainment", "criterion_decomposition",
            "criterion_kw_chain", "criterion_sketched_lb",

@@ -19,16 +19,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import GL7D12_SHAPE, run_all
-from .core import LSProblem, weighted_residual
+from .acceptance import GL7D12_SHAPE, run_all, seeded_rhs
+from .core import LSProblem, MatrixOperator, weighted_residual
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
 from .estimates import kw_factorization, kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, apply_sketch, sketch_rows
-from .solver import (CountingOperator, EstimatorHooks, SolverConfig,
-                     estimate_bounds, lsmr)
+from .solver import SolverConfig, estimate_bounds, lsmr
 from .solver import _power_spectral_norm
 
 
@@ -41,10 +40,20 @@ def _parse_theta(text: str) -> float:
     return value
 
 
+def _parse_rows_factor(text: str) -> float:
+    value = float(text)
+    try:
+        sketch_rows(value, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sketch", choices=["gaussian", "sparse-sign",
                                         "identity"], default="gaussian")
-    p.add_argument("--sketch-rows-factor", type=float, default=6.0,
+    p.add_argument("--sketch-rows-factor", type=_parse_rows_factor,
+                   default=6.0,
                    help="sketch rows as a multiple of n (default 6)")
     p.add_argument("--seed", type=int, default=0)
 
@@ -103,7 +112,7 @@ def cmd_estimate(args) -> int:
         S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
                           args.seed)
         kwf = kw_factorization(apply_sketch(S, A))
-        values, fresh = estimate_bounds(CountingOperator(A), kwf, r, norm_r,
+        values, fresh = estimate_bounds(MatrixOperator(A), kwf, r, norm_r,
                                         At_r, args.mu_est)
         if fresh is not None and fresh.mu_est_used != args.mu_est:
             print("note: mu_est reset to 0 (mu_est^2 is not below "
@@ -134,22 +143,18 @@ def cmd_solve(args) -> int:
         print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
               "matrix GL7d12")
 
-    norm_A_2 = config.norm_A_2 or _power_spectral_norm(CountingOperator(A))
+    norm_A_2 = config.norm_A_2 or _power_spectral_norm(MatrixOperator(A))
     if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
         config = dataclasses.replace(config, norm_A_2=norm_A_2)
 
-    rng = np.random.default_rng(args.seed)
     if args.rhs is not None:
         b = load_dense(args.rhs).ravel()
     else:
-        x_true = rng.standard_normal(n) / math.sqrt(n)
-        w = rng.standard_normal(m) / math.sqrt(m)
-        b = A @ x_true + 1e-4 * norm_A_2 * w
+        b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
 
     S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
     kwf = kw_factorization(apply_sketch(S, A))
-    hooks = EstimatorHooks(kwf=kwf)
-    x, trace, stop_reason = lsmr(A, b, config, hooks)
+    x, trace, stop_reason = lsmr(A, b, config, kwf)
 
     write_trace_csv(trace.rows, args.out)
     manifest = {

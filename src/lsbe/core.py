@@ -42,29 +42,33 @@ def _check_finite(M, name: str) -> None:
 
 
 class MatrixOperator:
-    """Minimal matvec/rmatvec view of a dense or sparse matrix.
+    """The one operator: counted matvec/rmatvec over a dense array, a
+    sparse matrix, or any object with matvec/rmatvec/shape.
 
-    The transpose is bound once: for a sparse A, A.T builds a new matrix
-    object on every access.
+    matvecs and rmatvecs count every product taken through it.  matrix is
+    the array itself, None for a bare operator.  The transpose of an array
+    is bound once: for a sparse A, A.T builds a new matrix object on every
+    access.
     """
 
     def __init__(self, A):
-        self.A = A
-        self.At = A.T
         self.shape = A.shape
+        self.matvecs = 0
+        self.rmatvecs = 0
+        if hasattr(A, "matvec") and hasattr(A, "rmatvec"):
+            self.matrix = None
+            self._matvec, self._rmatvec = A.matvec, A.rmatvec
+        else:
+            self.matrix = A
+            self._matvec, self._rmatvec = A.__matmul__, A.T.__matmul__
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.A @ v
+        self.matvecs += 1
+        return self._matvec(v)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return self.At @ u
-
-
-def as_operator(A):
-    """Return an object exposing matvec/rmatvec/shape for A."""
-    if hasattr(A, "matvec") and hasattr(A, "rmatvec") and hasattr(A, "shape"):
-        return A
-    return MatrixOperator(A)
+        self.rmatvecs += 1
+        return self._rmatvec(u)
 
 
 @dataclass(frozen=True, eq=False)

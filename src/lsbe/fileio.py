@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import typing
 
 import numpy as np
 import scipy.io
@@ -19,6 +20,8 @@ from .errors import UnsupportedFormat
 from .solver import TRACE_COLUMNS, TraceRow
 
 TRACE_SCHEMA = "lsbe-trace v1"
+# Column name -> type (int or float), from the TraceRow fields.
+_COLUMN_TYPES = typing.get_type_hints(TraceRow)
 
 
 def load_matrix(path: str):
@@ -75,18 +78,9 @@ def read_trace_csv(path: str) -> list[TraceRow]:
     header = next(reader)
     if header != TRACE_COLUMNS:
         raise UnsupportedFormat(f"{path}: unexpected trace columns {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        kwargs = {}
-        for col, value in zip(TRACE_COLUMNS, rec):
-            if col in ("iter", "matvec_count", "rmatvec_count"):
-                kwargs[col] = int(value)
-            else:
-                kwargs[col] = float(value)
-        rows.append(TraceRow(**kwargs))
-    return rows
+    return [TraceRow(**{col: _COLUMN_TYPES[col](value)
+                        for col, value in zip(TRACE_COLUMNS, rec)})
+            for rec in reader if rec]
 
 
 def trace_schema_of(path: str) -> str:

@@ -8,6 +8,7 @@ blocks and never materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,9 @@ class SketchOperator:
 
 def sketch_rows(factor: float, n: int) -> int:
     """Rows of a sketch sized factor * n for A with n columns: the floor of
-    factor * n, never fewer than n."""
+    factor * n, never fewer than n.  factor must be finite and positive."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError("sketch rows factor must be finite and positive")
     return max(n, int(factor * n))
 
 

@@ -1,4 +1,4 @@
-"""LSMR iterative least-squares solver with backward-error estimation hooks.
+"""LSMR least-squares solver with per-iteration backward-error estimates.
 
 The solver runs the standard Golub-Kahan bidiagonalization recurrences that
 minimize ||A'r|| over a growing Krylov subspace, and every estimate_every
@@ -10,13 +10,13 @@ Every product with A (including those spent on estimation) is counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import (KWFactorization, as_operator, is_sparse, kw_factorization,
-                   theta_scale)
+from .core import (KWFactorization, MatrixOperator, is_sparse,
+                   kw_factorization, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
@@ -49,30 +49,26 @@ class SolverConfig:
     norm_A_2: float | None = None
 
     def __post_init__(self):
-        if not (self.atol > 0):
-            raise ValueError("atol must be positive")
+        if not (math.isfinite(self.atol) and self.atol > 0):
+            raise ValueError("atol must be finite and positive")
         if self.estimate_every < 1:
             raise ValueError("estimate_every must be at least 1")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1 (or None)")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be nonnegative")
+        if not (self.recycle_threshold >= 0):  # rejects NaN too
+            raise ValueError("recycle_threshold must be nonnegative")
         if self.norm_A_2 is not None and not (
                 math.isfinite(self.norm_A_2) and self.norm_A_2 > 0):
             raise ValueError("norm_A_2 must be finite and positive (or None)")
 
 
-TRACE_COLUMNS = [
-    "iter", "norm_r", "norm_Atr", "norm_r_theta", "nu_sketched",
-    "lb_fresh", "lb_refined", "lb_recycled", "ub_deflation", "ub_generous",
-    "mu_true", "matvec_count", "rmatvec_count",
-]
-
-
 @dataclass(frozen=True)
 class TraceRow:
-    """One traced iteration.  Estimator fields are NaN when not computed
-    (no sketch configured, refinement disabled, or true mu off)."""
+    """One traced iteration, and the trace schema: the CSV columns are its
+    fields, in order.  Estimator fields are NaN when not computed (no
+    sketch configured, refinement disabled, or true mu off)."""
 
     iter: int
     norm_r: float
@@ -87,6 +83,9 @@ class TraceRow:
     mu_true: float
     matvec_count: int
     rmatvec_count: int
+
+
+TRACE_COLUMNS = [f.name for f in fields(TraceRow)]
 
 
 @dataclass
@@ -110,37 +109,8 @@ class SolverTrace:
     setup_rmatvecs: int = 0
 
 
-class CountingOperator:
-    """Wraps an operator and counts every matvec/rmatvec through it."""
-
-    def __init__(self, A):
-        self._op = as_operator(A)
-        self.shape = self._op.shape
-        self.matvecs = 0
-        self.rmatvecs = 0
-
-    def matvec(self, v):
-        self.matvecs += 1
-        return self._op.matvec(v)
-
-    def rmatvec(self, u):
-        self.rmatvecs += 1
-        return self._op.rmatvec(u)
-
-
-@dataclass
-class EstimatorHooks:
-    """Estimator configuration for a solver run.
-
-    kwf holds the retained sketch factorization (None disables the
-    sketch-based estimates); mu_est is the shift estimate fed to the
-    direction solves; stop_when, if set, is evaluated on every trace row
-    and stops the solver with reason "estimator" when it returns True.
-    """
-
-    kwf: KWFactorization | None = None
-    mu_est: float = 0.0
-    stop_when: Callable[[TraceRow], bool] | None = None
+# The counting operator under the name the quick start uses.
+CountingOperator = MatrixOperator
 
 
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
@@ -174,7 +144,7 @@ def _frobenius_norm(A) -> float | None:
     return None
 
 
-def _power_spectral_norm(ops: CountingOperator, steps: int = 20) -> float:
+def _power_spectral_norm(ops: MatrixOperator, steps: int = 20) -> float:
     """Spectral norm estimate by power iteration on A'A (seeded, so runs
     are reproducible)."""
     rng = np.random.default_rng(0x5EED)
@@ -281,7 +251,7 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     return values, fresh
 
 
-def _estimate_row(itn, ops, b, x, config, hooks, direction, true_mu):
+def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
     """Refresh the residual, evaluate the estimator suite, and build a
     trace row.  Returns (row, direction), where direction may have been
     replaced per the recycle policy."""
@@ -299,10 +269,10 @@ def _estimate_row(itn, ops, b, x, config, hooks, direction, true_mu):
         norm_rth = cth * norm_r
         if true_mu is not None:
             mu_t = true_mu(r_th)
-        if hooks.kwf is not None:
+        if kwf is not None:
             values, fresh = estimate_bounds(
-                ops, hooks.kwf, r_th, norm_rth, cth * At_r, hooks.mu_est,
-                config.refine_steps, direction, itn)
+                ops, kwf, r_th, norm_rth, cth * At_r,
+                refine_steps=config.refine_steps, direction=direction, itn=itn)
             if direction is None:
                 direction = fresh
 
@@ -319,17 +289,19 @@ def _estimate_row(itn, ops, b, x, config, hooks, direction, true_mu):
 
 
 def lsmr(A, b, config: SolverConfig | None = None,
-         hooks: EstimatorHooks | None = None):
+         kwf: KWFactorization | None = None,
+         stop_when: Callable[[TraceRow], bool] | None = None):
     """Minimize ||Ax - b|| by LSMR, tracing estimates along the way.
 
-    Returns (x, trace, stop_reason) with stop_reason one of "converged"
-    (the ||A'r|| test fired), "estimator" (hooks.stop_when fired),
-    "breakdown" (the bidiagonalization produced a zero vector first), or
-    "max_iters".
+    kwf is the retained sketch factorization behind the estimates (None
+    leaves the estimator columns NaN); stop_when, if given, sees every
+    trace row and stops the run when it returns True.  Returns
+    (x, trace, stop_reason) with stop_reason one of "converged" (the
+    ||A'r|| test fired), "estimator" (stop_when fired), "breakdown" (the
+    bidiagonalization produced a zero vector first), or "max_iters".
     """
     config = config or SolverConfig()
-    hooks = hooks or EstimatorHooks()
-    ops = CountingOperator(A)
+    ops = MatrixOperator(A)
     m, n = ops.shape
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != m:
@@ -337,7 +309,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if not np.all(np.isfinite(b)):
         raise ValueError("b contains non-finite entries")
 
-    norm_A_fro = _frobenius_norm(A)
+    norm_A_fro = _frobenius_norm(ops.matrix)
     if config.compute_true_mu and norm_A_fro is None:
         raise ValueError(
             "compute_true_mu needs A as an ndarray or a sparse matrix")
@@ -347,7 +319,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
         config = replace(config, norm_A_2=norm_A_2)
     max_iters = config.max_iters or 5 * min(m, n)
-    true_mu = _TrueMu(A) if config.compute_true_mu else None
+    true_mu = _TrueMu(ops.matrix) if config.compute_true_mu else None
 
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
                         norm_A_fro_source=fro_source, norm_A_2=norm_A_2,
@@ -449,9 +421,9 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
         if itn % config.estimate_every == 0 or last:
             row, direction = _estimate_row(
-                itn, ops, b, x, config, hooks, direction, true_mu)
+                itn, ops, b, x, config, kwf, direction, true_mu)
             trace.rows.append(row)
-            if hooks.stop_when is not None and hooks.stop_when(row):
+            if stop_when is not None and stop_when(row):
                 stop_reason = "estimator"
                 break
         if converged:
@@ -470,6 +442,5 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
 __all__ = [
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "EstimatorHooks", "CountingOperator", "lsmr", "recycle_policy",
-    "estimate_bounds",
+    "CountingOperator", "lsmr", "recycle_policy", "estimate_bounds",
 ]

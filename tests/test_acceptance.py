@@ -8,7 +8,10 @@ available (see README).
 
 import time
 
+import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from lsbe import acceptance
 
@@ -70,3 +73,19 @@ def test_c9_gl7d12_reproduction():
         print(f"SKIP {result.name}: {result.detail}")
         pytest.skip(result.detail)
     _report(result)
+
+
+def test_c9_gl7d12_criterion_on_a_small_matrix(tmp_path, monkeypatch):
+    # The criterion body on a seeded 600 x 60 matrix with about 2500
+    # nonzeros, taken as the expected shape: GL7d12 itself is not bundled.
+    m, n, nnz = 600, 60, 2500
+    rng = np.random.default_rng(12)
+    rows, cols = np.divmod(rng.choice(m * n, size=nnz, replace=False), n)
+    A = sp.coo_matrix((rng.standard_normal(nnz), (rows, cols)), shape=(m, n))
+    A = (A.tocsc() + sp.eye(m, n, format="csc")) @ sp.diags(
+        np.logspace(0, -3, n))
+    path = str(tmp_path / "small.mtx")
+    scipy.io.mmwrite(path, A)
+    monkeypatch.setattr(acceptance, "GL7D12_SHAPE", (m, n))
+    result = acceptance.criterion_gl7d12(path)
+    assert result.passed and not result.skipped, result.detail

@@ -225,11 +225,33 @@ def test_missing_file_exit_code(tmp_path):
     ("--norm-a2", "0", "norm_A_2"),
     ("--norm-a2", "-1", "norm_A_2"),
     ("--norm-a2", "nan", "norm_A_2"),
-    ("--norm-a2", "inf", "norm_A_2")])
+    ("--norm-a2", "inf", "norm_A_2"),
+    ("--recycle-threshold", "nan", "recycle_threshold"),
+    ("--recycle-threshold", "-1", "recycle_threshold"),
+    ("--atol", "inf", "atol")])
 def test_solve_rejects_invalid_counts(tmp_path, capsys, flag, value, field):
     out = tmp_path / "t.csv"
     assert main(["solve", TINY, flag, value, "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_sketch_rows_factor_rejected_at_parse_time(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   value):
+    def no_load(path):
+        raise AssertionError("matrix loaded before the flags were checked")
+
+    monkeypatch.setattr(lsbe.cli, "load_matrix", no_load)
+    out = tmp_path / "t.csv"
+    argv = ([command, TINY, "--out", str(out)] if command == "solve"
+            else [command, TINY, *TINY_XB])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--sketch-rows-factor={value}"])
+    assert exc.value.code == 2
+    assert "sketch rows factor" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,9 +6,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import aslinearoperator
 
-from lsbe import (LSProblem, MatrixOperator, compress_pair, mu_exact,
-                  weighted_residual)
+from lsbe import (CountingOperator, LSProblem, MatrixOperator, compress_pair,
+                  mu_exact, weighted_residual)
 from lsbe.errors import DimensionMismatch, RankDeficient
 from lsbe.pencil import tr_minus
 
@@ -154,3 +155,18 @@ def test_matrix_operator_rmatvec(rng, monkeypatch, fmt):
         monkeypatch.setattr(type(A), "transpose", no_transpose)
     for u, ref in zip(U, expected):
         assert np.array_equal(op.rmatvec(u), ref)
+
+
+def test_matrix_operator_counts_products(rng):
+    # One class counts for arrays and for bare matvec/rmatvec operators;
+    # only an array is exposed as matrix.
+    assert CountingOperator is MatrixOperator
+    A = rng.standard_normal((6, 3))
+    v, u = rng.standard_normal(3), rng.standard_normal(6)
+    for wrapped, matrix in ((A, A), (aslinearoperator(A), None)):
+        op = MatrixOperator(wrapped)
+        assert op.matrix is matrix and op.shape == (6, 3)
+        assert np.allclose(op.matvec(v), A @ v, rtol=1e-14, atol=0)
+        op.rmatvec(u)
+        assert np.allclose(op.rmatvec(u), A.T @ u, rtol=1e-14, atol=0)
+        assert (op.matvecs, op.rmatvecs) == (1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lsbe import (RecycledDirection, kw, kw_factorization, kw_multi,
                   lb_direction, lb_refine, mu_exact, mu_rank_one, pair_basis,
                   sketched_kw, ub_deflation, ub_generous)
-from lsbe.core import as_operator
+from lsbe.core import MatrixOperator
 from lsbe.errors import ShiftNotPD, ZeroDeflator
 from lsbe.sketch import SketchOperator, apply_sketch, measure_distortion
 from lsbe.solver import CountingOperator, estimate_bounds
@@ -239,7 +239,7 @@ def test_lb_refine_identity_sketch_is_fixed_point(rng):
     kwf = _exact_kwf(A)
     norm_r = float(np.linalg.norm(r))
     p = lb_direction(kwf, A.T @ r, norm_r, 0.0)
-    p2 = lb_refine(p, kwf, as_operator(A), r, norm_r, 0.0)
+    p2 = lb_refine(p, kwf, MatrixOperator(A), r, norm_r, 0.0)
     assert np.allclose(p2, p, rtol=1e-10, atol=1e-14)
 
 
@@ -252,7 +252,7 @@ def test_lb_refine_zero_correction_at_true_solution(rng):
     p_true = np.linalg.solve(A.T @ A + norm_r ** 2 * np.eye(4), A.T @ r)
     S = SketchOperator(kind="gaussian", rows=24, cols=30, seed=5)
     kwf = kw_factorization(apply_sketch(S, A))
-    p2 = lb_refine(p_true, kwf, as_operator(A), r, norm_r, 0.0)
+    p2 = lb_refine(p_true, kwf, MatrixOperator(A), r, norm_r, 0.0)
     assert np.allclose(p2, p_true, rtol=1e-9, atol=1e-12)
 
 
@@ -272,7 +272,7 @@ def test_lb_refine_statistical_improvement():
         kwf = kw_factorization(apply_sketch(S, A))
         p0 = lb_direction(kwf, A.T @ r, norm_r, 0.0)
         lb0 = mu_rank_one(A @ (p0 / np.linalg.norm(p0)), r)
-        p1 = lb_refine(p0, kwf, as_operator(A), r, norm_r, 0.0)
+        p1 = lb_refine(p0, kwf, MatrixOperator(A), r, norm_r, 0.0)
         lb1 = mu_rank_one(A @ (p1 / np.linalg.norm(p1)), r)
         diffs.append(lb1 - lb0)
         if lb1 >= lb0 - 1e-14:

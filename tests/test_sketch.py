@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -173,3 +175,6 @@ def test_sketch_rows_rule():
     assert [sketch_rows(f, 150) for f in (1.5, 6, 16)] == [225, 900, 2400]
     assert sketch_rows(1.5, 5) == 7  # floor(7.5)
     assert sketch_rows(0.5, 40) == 40  # never fewer rows than columns
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            sketch_rows(bad, 40)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lsbe import (CountingOperator, EstimatorHooks, SolverConfig, TraceRow,
-                  estimate_bounds, kw_factorization, lsmr, mu_rank_one,
-                  recycle_policy)
+from lsbe import (CountingOperator, SolverConfig, TraceRow, estimate_bounds,
+                  kw_factorization, lsmr, mu_rank_one, recycle_policy)
 from lsbe.core import theta_scale
 from lsbe.estimates import RecycledDirection
 from lsbe.fileio import read_trace_csv
@@ -15,12 +14,11 @@ from lsbe.solver import ESTIMATE_COLUMNS, TRACE_COLUMNS, _TrueMu
 from lsbe.sketch import SketchOperator, apply_sketch
 
 
-def _sketch_hooks(A, factor=6, seed=0):
+def _sketch_kwf(A, factor=6, seed=0):
     m, n = A.shape
     rows = max(n, int(factor * n))
     S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=seed)
-    kwf = kw_factorization(apply_sketch(S, A))
-    return EstimatorHooks(kwf=kwf)
+    return kw_factorization(apply_sketch(S, A))
 
 
 def test_zero_rhs_returns_zero(rng):
@@ -181,7 +179,7 @@ def _ls_problem(rng, m=120, n=10):
 def test_matvec_accounting_no_refinement(rng):
     A, b = _ls_problem(rng)
     config = SolverConfig(estimate_every=1, refine_steps=0)
-    _, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
+    _, trace, _ = lsmr(A, b, config, _sketch_kwf(A))
     # Per iteration: 1 bidiagonalization matvec + residual refresh + fresh
     # direction product; transpose side: bidiagonalization + A'r +
     # deflation vector + two basis columns.
@@ -193,7 +191,7 @@ def test_matvec_accounting_no_refinement(rng):
 def test_matvec_accounting_with_refinement(rng):
     A, b = _ls_problem(rng)
     config = SolverConfig(estimate_every=1, refine_steps=1)
-    _, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
+    _, trace, _ = lsmr(A, b, config, _sketch_kwf(A))
     for prev, cur in zip(trace.rows, trace.rows[1:]):
         assert cur.matvec_count - prev.matvec_count == 5
         assert cur.rmatvec_count - prev.rmatvec_count == 6
@@ -206,8 +204,8 @@ def test_lb_recycled_costs_nothing(rng):
     A, b = _ls_problem(rng)
     cfg_lo = SolverConfig(estimate_every=1, recycle_threshold=1e-300)
     cfg_hi = SolverConfig(estimate_every=1, recycle_threshold=1e-2)
-    _, tr_lo, _ = lsmr(A, b, cfg_lo, _sketch_hooks(A))
-    _, tr_hi, _ = lsmr(A, b, cfg_hi, _sketch_hooks(A))
+    _, tr_lo, _ = lsmr(A, b, cfg_lo, _sketch_kwf(A))
+    _, tr_hi, _ = lsmr(A, b, cfg_hi, _sketch_kwf(A))
     assert [r.matvec_count for r in tr_lo.rows] == \
         [r.matvec_count for r in tr_hi.rows]
     assert [r.rmatvec_count for r in tr_lo.rows] == \
@@ -217,7 +215,7 @@ def test_lb_recycled_costs_nothing(rng):
 def _bounds_args(rng, m=60, n=5):
     A = rng.standard_normal((m, n))
     r = rng.standard_normal(m)
-    kwf = _sketch_hooks(A).kwf
+    kwf = _sketch_kwf(A)
     return A, r, kwf, float(np.linalg.norm(r)), A.T @ r
 
 
@@ -227,14 +225,14 @@ def test_estimate_bounds_reproduces_trace_row(rng):
     A, b = _ls_problem(rng)
     config = SolverConfig(estimate_every=1, refine_steps=2, max_iters=1,
                           theta=3.0)
-    x, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
+    x, trace, _ = lsmr(A, b, config, _sketch_kwf(A))
     row = trace.rows[-1]
     ops = CountingOperator(A)
     r = b - ops.matvec(x)
     cth = theta_scale(3.0, float(np.linalg.norm(x)))
     At_r = ops.rmatvec(r)
     values, fresh = estimate_bounds(
-        ops, _sketch_hooks(A).kwf, cth * r, cth * float(np.linalg.norm(r)),
+        ops, _sketch_kwf(A), cth * r, cth * float(np.linalg.norm(r)),
         cth * At_r, refine_steps=2, itn=row.iter)
     assert set(values) == set(ESTIMATE_COLUMNS)
     for name in ESTIMATE_COLUMNS:
@@ -279,7 +277,7 @@ def test_trace_soundness_small(rng):
     A, b = _ls_problem(rng, m=150, n=12)
     config = SolverConfig(estimate_every=1, refine_steps=1,
                           compute_true_mu=True)
-    _, trace, stop = lsmr(A, b, config, _sketch_hooks(A))
+    _, trace, stop = lsmr(A, b, config, _sketch_kwf(A))
     assert trace.rows
     for row in trace.rows:
         for lb in (row.lb_fresh, row.lb_refined, row.lb_recycled):
@@ -292,10 +290,9 @@ def test_trace_soundness_small(rng):
 
 def test_estimator_stop(rng):
     A, b = _ls_problem(rng)
-    hooks = _sketch_hooks(A)
-    hooks.stop_when = lambda row: row.nu_sketched < 1e-6
     config = SolverConfig(estimate_every=1)
-    _, trace, stop = lsmr(A, b, config, hooks)
+    _, trace, stop = lsmr(A, b, config, _sketch_kwf(A),
+                          stop_when=lambda row: row.nu_sketched < 1e-6)
     assert stop == "estimator"
     assert trace.rows[-1].nu_sketched < 1e-6
 
@@ -303,7 +300,7 @@ def test_estimator_stop(rng):
 def test_finite_theta_trace(rng):
     A, b = _ls_problem(rng)
     config = SolverConfig(estimate_every=5, theta=1.0, compute_true_mu=True)
-    _, trace, _ = lsmr(A, b, config, _sketch_hooks(A))
+    _, trace, _ = lsmr(A, b, config, _sketch_kwf(A))
     for row in trace.rows:
         assert row.lb_fresh <= row.mu_true + 1e-10
 
@@ -315,7 +312,7 @@ def test_true_mu_spends_no_counted_products(rng):
     for flag in (False, True):
         config = SolverConfig(estimate_every=3, refine_steps=1,
                               compute_true_mu=flag)
-        runs[flag] = lsmr(A, b, config, _sketch_hooks(A))[1].rows
+        runs[flag] = lsmr(A, b, config, _sketch_kwf(A))[1].rows
     assert [(r.matvec_count, r.rmatvec_count) for r in runs[True]] == \
         [(r.matvec_count, r.rmatvec_count) for r in runs[False]]
     assert all(math.isfinite(r.mu_true) for r in runs[True])
@@ -351,11 +348,15 @@ def test_config_validation():
         SolverConfig(estimate_every=0)
     for bad in ({"max_iters": 0}, {"max_iters": -3}, {"refine_steps": -1},
                 {"norm_A_2": 0.0}, {"norm_A_2": -1.0},
-                {"norm_A_2": math.nan}, {"norm_A_2": math.inf}):
+                {"norm_A_2": math.nan}, {"norm_A_2": math.inf},
+                {"recycle_threshold": math.nan},
+                {"recycle_threshold": -1e-12},
+                {"atol": math.inf}, {"atol": math.nan}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=1, refine_steps=0).max_iters == 1
     assert SolverConfig(norm_A_2=2.5).norm_A_2 == 2.5
+    assert SolverConfig(recycle_threshold=0.0).recycle_threshold == 0.0
 
 
 def test_zero_matrix_converges_at_once():
@@ -411,7 +412,7 @@ def _regression_run():
     b = A @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m)
     config = SolverConfig(atol=1e-10, estimate_every=1, refine_steps=1,
                           compute_true_mu=True, max_iters=60)
-    return lsmr(A, b, config, _sketch_hooks(A))[1]
+    return lsmr(A, b, config, _sketch_kwf(A))[1]
 
 
 def test_trace_regression_sparse_gaussian_sketch():
