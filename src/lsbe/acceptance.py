@@ -22,8 +22,7 @@ from .decomposition import brute_force_max, decomposition_sum, optimal_pq
 from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
-from .sketch import (SketchOperator, apply_sketch, measure_distortion,
-                     sketch_rows)
+from .sketch import SketchOperator, measure_distortion, sketch_rows
 from .solver import SolverConfig, _power_spectral_norm, lsmr
 
 GL7D12_SHAPE = (8899, 1019)
@@ -258,7 +257,7 @@ def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
     worst_margin = math.inf
 
     def lb_for(A, r, S):
-        kwf = kw_factorization(apply_sketch(S, A))
+        kwf = kw_factorization(A, sketch=S)
         p = lb_direction(kwf, A.T @ r, float(np.linalg.norm(r)), 0.0)
         np_t = float(np.linalg.norm(p))
         if np_t == 0.0:
@@ -354,7 +353,7 @@ def _trace_run(A, b, factor: int | float, seed: int, config: SolverConfig):
     m, n = A.shape
     S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
                        seed=seed)
-    return lsmr(A, b, config, kw_factorization(apply_sketch(S, A)))
+    return lsmr(A, b, config, kw_factorization(A, sketch=S))
 
 
 def criterion_trace_soundness(seed: int = 0) -> CriterionResult:

@@ -26,7 +26,7 @@ from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
 from .estimates import kw_factorization, kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
-from .sketch import SketchOperator, apply_sketch, sketch_rows
+from .sketch import SketchOperator, sketch_rows
 from .solver import SolverConfig, estimate_bounds, lsmr
 from .solver import _power_spectral_norm
 
@@ -49,13 +49,27 @@ def _parse_rows_factor(text: str) -> float:
     return value
 
 
+def _parse_mu_est(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("mu_est must be finite and >= 0")
+    return value
+
+
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+    return value
+
+
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sketch", choices=["gaussian", "sparse-sign",
                                         "identity"], default="gaussian")
     p.add_argument("--sketch-rows-factor", type=_parse_rows_factor,
                    default=6.0,
                    help="sketch rows as a multiple of n (default 6)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
 
 
 def _build_sketch(kind: str, factor: float, m: int, n: int,
@@ -111,7 +125,7 @@ def cmd_estimate(args) -> int:
     if d == 1:
         S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
                           args.seed)
-        kwf = kw_factorization(apply_sketch(S, A))
+        kwf = kw_factorization(A, sketch=S)
         values, fresh = estimate_bounds(MatrixOperator(A), kwf, r, norm_r,
                                         At_r, args.mu_est)
         if fresh is not None and fresh.mu_est_used != args.mu_est:
@@ -153,7 +167,7 @@ def cmd_solve(args) -> int:
         b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
 
     S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
-    kwf = kw_factorization(apply_sketch(S, A))
+    kwf = kw_factorization(A, sketch=S)
     x, trace, stop_reason = lsmr(A, b, config, kwf)
 
     write_trace_csv(trace.rows, args.out)
@@ -224,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method",
                      choices=["eig", "sigma-min", "fixed-point", "gevp",
                               "all"], default="all")
-    est.add_argument("--mu-est", type=float, default=0.0)
+    est.add_argument("--mu-est", type=_parse_mu_est, default=0.0)
     _add_sketch_flags(est)
     est.set_defaults(func=cmd_estimate)
 

@@ -9,10 +9,12 @@ function of its inputs; values are safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, RankDeficient, ShiftNotPD
@@ -237,8 +239,9 @@ class KWFactorization:
     right_vectors: np.ndarray
 
     def check_shift(self, shift: float) -> None:
-        """Raise ShiftNotPD unless M'M + shift I is positive definite."""
-        if shift + float(self.singular_values[-1] ** 2) <= 0.0:
+        """Raise ShiftNotPD unless M'M + shift I is positive definite (a
+        NaN shift is not)."""
+        if not shift + float(self.singular_values[-1] ** 2) > 0.0:
             raise ShiftNotPD(
                 "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
 
@@ -250,8 +253,9 @@ class KWFactorization:
         return self.right_vectors @ (z / (s * s + shift))
 
 
-def kw_factorization(M) -> KWFactorization:
-    """Build the factorization from any k x n matrix, dense or sparse.
+def kw_factorization(M, sketch=None) -> KWFactorization:
+    """Build the factorization of any k x n matrix, dense or sparse, or of
+    S M for a sketch S given as sketch=S without ever forming S M.
 
     Only the singular values and right singular vectors are kept.  When
     k > n the matrix is first compressed to its n x n triangular factor R
@@ -259,14 +263,55 @@ def kw_factorization(M) -> KWFactorization:
     never forms the k x n left factors.  When k < n the matrix is padded
     with zero rows so the right singular vectors always span all of R^n
     (the Gram matrix M'M is unchanged by the padding).
+
+    With a sketch, S M is read from sketch.row_blocks(M).  Rows are stacked
+    until there are more than n, factored by QR, and every later block is
+    folded into R by LAPACK dtpqrt (a streamed TSQR), so only one block of
+    S M is held at a time.  A sketch that yields one block (any kind but a
+    Gaussian of more than 256 rows) takes exactly the path of
+    kw_factorization(apply_sketch(sketch, M)).
     """
-    if is_sparse(M):
-        M = M.toarray()
-    M = np.asarray(M, dtype=float)
-    k, n = M.shape
-    if k > n:
-        M = np.linalg.qr(M, mode="r")
-    elif k < n:
-        M = np.vstack([M, np.zeros((n - k, n))])
-    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    if sketch is None:
+        R = _triangular_factor([M])
+    else:
+        with contextlib.closing(sketch.row_blocks(M)) as blocks:
+            R = _triangular_factor(blocks)
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
+
+
+# Block size of the compact WY representation inside dtpqrt: the fastest
+# of 16-256 for folding 256 x 1019 blocks with one BLAS thread.
+_TPQRT_NB = 64
+
+
+def _triangular_factor(blocks) -> np.ndarray:
+    """An n x n (or, while the rows number at most n, zero-padded) matrix T
+    with T'T = M'M, for M given as a sequence of row blocks."""
+    stacked, rows, R = [], 0, None
+    for block in blocks:
+        if is_sparse(block):
+            block = block.toarray()
+        block = np.asarray(block, dtype=float)
+        n = block.shape[1]
+        if R is not None:
+            R, _, _, info = scipy.linalg.lapack.dtpqrt(
+                0, min(_TPQRT_NB, n), R, block, overwrite_a=True,
+                overwrite_b=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtpqrt failed (info {info})")
+            continue
+        stacked.append(block)
+        rows += block.shape[0]
+        if rows > n:
+            R = np.linalg.qr(_stack(stacked), mode="r")
+            stacked = None
+    if R is not None:
+        return R
+    if rows < n:
+        stacked.append(np.zeros((n - rows, n)))
+    return _stack(stacked)
+
+
+def _stack(blocks) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)

@@ -2,13 +2,23 @@
 
 Operators are immutable descriptions; their action is a deterministic pure
 function of (kind, rows, cols, seed, params), so traces built on top of
-them reproduce bit for bit.  The dense Gaussian sketch is streamed in row
-blocks and never materialized.
+them reproduce bit for bit.  The dense Gaussian sketch is never
+materialized: SketchOperator.row_blocks streams S V in blocks of 256 rows,
+and both apply_sketch and kw_factorization(A, sketch=S) consume that one
+stream.  While the calling thread scales block i and takes its product
+with V, one helper thread draws block i+1 from the seeded generator into
+the other of two reused buffers (block i+2 is queued as soon as block i's
+buffer is free).  The draw releases the interpreter lock, so it runs on a
+second core when one is free; on one core the blocks run in sequence.
+The draws happen in stream order either way, so the output does not
+depend on the scheduling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +80,22 @@ class SketchOperator:
                     raise ValueError("subspace columns must be orthonormal")
                 object.__setattr__(self, "subspace", U)
 
+    def row_blocks(self, V):
+        """Yield S V as consecutive row blocks, top to bottom.
+
+        V has self.cols rows (dense, sparse or 1-D; a 1-D V gives 1-D
+        blocks).  A Gaussian sketch of more than 256 rows yields blocks of
+        256 rows, drawn ahead on a helper thread that is joined before the
+        generator finishes, raises or is closed.  Every other input yields
+        the whole product as one block and starts no thread.
+        """
+        V, squeeze = _as_input(self, V)
+        if self.kind == "gaussian":
+            yield from _gaussian_blocks(self, V, squeeze)
+        else:
+            out = _apply_whole(self, V)
+            yield out[:, 0] if squeeze else out
+
 
 def sketch_rows(factor: float, n: int) -> int:
     """Rows of a sketch sized factor * n for A with n columns: the floor of
@@ -105,10 +131,9 @@ def _sparse_sign_matrix(S: SketchOperator) -> sp.csr_matrix:
                          shape=(S.rows, S.cols))
 
 
-def apply_sketch(S: SketchOperator, V) -> np.ndarray:
-    """Apply the sketch to an array with S.cols rows; 1-D inputs give 1-D
-    outputs.  Identical (kind, rows, cols, seed, params) always produces
-    the identical action."""
+def _as_input(S: SketchOperator, V):
+    """V as a 2-D dense or sparse array with S.cols rows, and whether it
+    was 1-D."""
     squeeze = False
     if not is_sparse(V):
         V = np.asarray(V, dtype=float)
@@ -118,31 +143,67 @@ def apply_sketch(S: SketchOperator, V) -> np.ndarray:
     if V.shape[0] != S.cols:
         raise ShapeMismatch(
             f"sketch expects {S.cols} rows, input has {V.shape[0]}")
+    return V, squeeze
 
+
+def _gaussian_blocks(S: SketchOperator, V, squeeze: bool):
+    """S V for a Gaussian S in blocks of _GAUSS_BLOCK rows, each block of S
+    drawn from one generator into one of two reused buffers."""
+    rng = np.random.default_rng(S.seed)
+    scale = 1.0 / np.sqrt(S.rows)
+    sizes = [min(_GAUSS_BLOCK, S.rows - start)
+             for start in range(0, S.rows, _GAUSS_BLOCK)]
+    buffers = [np.empty((sizes[0], S.cols)) for _ in sizes[:2]]
+
+    def draw(i):
+        return rng.standard_normal(out=buffers[i % 2][:sizes[i]])
+
+    def product(block):
+        block *= scale
+        out = (V.T @ block.T).T if is_sparse(V) else block @ V
+        return out[:, 0] if squeeze else out
+
+    if len(sizes) == 1:
+        yield product(draw(0))
+        return
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="lsbe-sketch-draw") as helper:
+        pending = {i: helper.submit(draw, i) for i in range(2)}
+        for i in range(len(sizes)):
+            block = product(pending.pop(i).result())
+            if i + 2 < len(sizes):  # the buffer of block i is free again
+                pending[i + 2] = helper.submit(draw, i + 2)
+            yield block
+
+
+def _apply_whole(S: SketchOperator, V) -> np.ndarray:
+    """S V in one piece for the kinds that are not streamed."""
     if S.kind == "identity":
-        out = V.toarray() if is_sparse(V) else np.array(V, copy=True)
-    elif S.kind == "gaussian":
-        rng = np.random.default_rng(S.seed)
-        scale = 1.0 / np.sqrt(S.rows)
-        out = np.empty((S.rows, V.shape[1]))
-        for start in range(0, S.rows, _GAUSS_BLOCK):
-            stop = min(start + _GAUSS_BLOCK, S.rows)
-            block = rng.standard_normal((stop - start, S.cols)) * scale
-            if is_sparse(V):
-                out[start:stop] = (V.T @ block.T).T
-            else:
-                out[start:stop] = block @ V
-    elif S.kind == "sparse_sign":
+        return V.toarray() if is_sparse(V) else np.array(V, copy=True)
+    if S.kind == "sparse_sign":
         out = _sparse_sign_matrix(S) @ V
-        if is_sparse(out):
-            out = out.toarray()
-    else:  # synthetic_eta
-        lift, u_plus, u_minus = _synthetic_parts(S)
-        Vd = V.toarray() if is_sparse(V) else V
-        scaled = (Vd + S.eta * np.outer(u_plus, u_plus @ Vd)
-                  - S.eta * np.outer(u_minus, u_minus @ Vd))
-        out = lift @ scaled
-    return out[:, 0] if squeeze else out
+        return out.toarray() if is_sparse(out) else out
+    lift, u_plus, u_minus = _synthetic_parts(S)
+    Vd = V.toarray() if is_sparse(V) else V
+    scaled = (Vd + S.eta * np.outer(u_plus, u_plus @ Vd)
+              - S.eta * np.outer(u_minus, u_minus @ Vd))
+    return lift @ scaled
+
+
+def apply_sketch(S: SketchOperator, V) -> np.ndarray:
+    """Apply the sketch to an array with S.cols rows; 1-D inputs give 1-D
+    outputs.  Identical (kind, rows, cols, seed, params) always produces
+    the identical action."""
+    blocks = S.row_blocks(V)
+    first = next(blocks)
+    if len(first) == S.rows:  # the whole product came as one block
+        return first
+    out = np.empty((S.rows,) + first.shape[1:])
+    start = 0
+    for block in itertools.chain([first], blocks):
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def measure_distortion(S: SketchOperator, A, trials: int = 0,

@@ -134,13 +134,14 @@ def test_estimate_factors_A_once(capsys, monkeypatch):
     # One factorization of A (nu and the fixed-point route) and one of the
     # sketch, counted under every name an lsbe module binds it to and told
     # apart by the shape of the factored matrix: A is 20 x 5, the 6n
-    # sketch SA is 30 x 5.
+    # sketch SA (factored as kw_factorization(A, sketch=S)) is 30 x 5.
     original = lsbe.core.kw_factorization
     calls = []
 
-    def counted(M):
-        calls.append(M.shape)
-        return original(M)
+    def counted(M, sketch=None):
+        rows = M.shape[0] if sketch is None else sketch.rows
+        calls.append((rows, M.shape[1]))
+        return original(M, sketch=sketch)
 
     for name, mod in list(sys.modules.items()):
         if name == "lsbe" or name.startswith("lsbe."):
@@ -252,6 +253,37 @@ def test_sketch_rows_factor_rejected_at_parse_time(tmp_path, capsys,
         main(argv + [f"--sketch-rows-factor={value}"])
     assert exc.value.code == 2
     assert "sketch rows factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_mu_est_rejected_at_parse_time(capsys, monkeypatch, value):
+    def no_load(path):
+        raise AssertionError("matrix loaded before the flags were checked")
+
+    monkeypatch.setattr(lsbe.cli, "load_matrix", no_load)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", TINY, *TINY_XB, f"--mu-est={value}"])
+    assert exc.value.code == 2
+    assert "mu_est must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate"])
+def test_negative_seed_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
+                                              command):
+    def no_load(path):
+        raise AssertionError("matrix loaded before the flags were checked")
+
+    monkeypatch.setattr(lsbe.cli, "load_matrix", no_load)
+    out = tmp_path / "t.csv"
+    argv = ([command, TINY, "--out", str(out)] if command == "solve"
+            else [command, TINY, *TINY_XB])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed=-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "seed must be a non-negative integer" in captured.err
+    assert captured.out == ""  # no exact route ran first
     assert not out.exists()
 
 

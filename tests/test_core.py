@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import aslinearoperator
 
+import lsbe.core
 from lsbe import (CountingOperator, LSProblem, MatrixOperator, compress_pair,
-                  mu_exact, weighted_residual)
-from lsbe.errors import DimensionMismatch, RankDeficient
+                  kw_factorization, mu_exact, weighted_residual)
+from lsbe.errors import DimensionMismatch, RankDeficient, ShiftNotPD
+from lsbe.sketch import SketchOperator, apply_sketch
 from lsbe.pencil import tr_minus
 
 from conftest import random_orthogonal
@@ -170,3 +173,103 @@ def test_matrix_operator_counts_products(rng):
         op.rmatvec(u)
         assert np.allclose(op.rmatvec(u), A.T @ u, rtol=1e-14, atol=0)
         assert (op.matvecs, op.rmatvecs) == (1, 2)
+
+
+def test_check_shift_rejects_nan(rng):
+    kwf = kw_factorization(rng.standard_normal((8, 3)))
+    s_min2 = float(kwf.singular_values[-1] ** 2)
+    kwf.check_shift(0.0)
+    kwf.check_shift(-0.5 * s_min2)
+    for shift in (math.nan, -s_min2, -2.0 * s_min2, -math.inf):
+        with pytest.raises(ShiftNotPD):
+            kwf.check_shift(shift)
+    with pytest.raises(ShiftNotPD):
+        kwf.solve(np.ones(3), math.nan)
+
+
+def _sketch_pair(rng, m, n, sparse):
+    """A CSC or dense m x n matrix with singular values spread over three
+    decades, so the right singular vectors are well separated."""
+    A = sp.random(m, n, density=0.05, format="csc",
+                  random_state=np.random.RandomState(int(rng.integers(1e6))))
+    A = sp.csc_matrix((A + sp.eye(m, n)) @ sp.diags(np.logspace(0, -3, n)))
+    return A if sparse else A.toarray()
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("kind, rows", [
+    ("gaussian", 1), ("gaussian", 30), ("gaussian", 256),
+    ("sparse_sign", 700), ("identity", None)])
+def test_kw_factorization_single_block_sketch_bit_identical(rng, sparse,
+                                                            kind, rows):
+    m, n = 400, 20
+    A = _sketch_pair(rng, m, n, sparse)
+    S = SketchOperator(kind=kind, rows=rows or m, cols=m, seed=5)
+    streamed = kw_factorization(A, sketch=S)
+    formed = kw_factorization(apply_sketch(S, A))
+    assert np.array_equal(streamed.singular_values, formed.singular_values)
+    assert np.array_equal(streamed.right_vectors, formed.right_vectors)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("m, n, rows", [
+    (700, 20, 257),    # one row past a block
+    (900, 30, 700),    # three blocks, the last one short
+    (1000, 300, 900),  # n > 256: two blocks stacked before the QR
+    (900, 400, 300),   # k <= n: stacked and padded, never folded
+    (900, 300, 301)])  # the QR takes all k = n + 1 rows, nothing to fold
+def test_kw_factorization_streamed_matches_formed(rng, sparse, m, n, rows):
+    A = _sketch_pair(rng, m, n, sparse)
+    S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=11)
+    streamed = kw_factorization(A, sketch=S)
+    formed = kw_factorization(apply_sketch(S, A))
+    s, s_ref = streamed.singular_values, formed.singular_values
+    np.testing.assert_allclose(s, s_ref, rtol=1e-13, atol=0)
+    # Singular vectors agree up to sign, to within the backward error of
+    # the factorization over the gap to the neighbouring singular values.
+    V, V_ref = streamed.right_vectors, formed.right_vectors
+    V = V * np.sign(np.sum(V * V_ref, axis=0))
+    padded = np.concatenate([[np.inf], s_ref, [-np.inf]])
+    gap = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
+    with np.errstate(divide="ignore"):  # the zeros padded in when k < n
+        tol = 64 * np.sqrt(n) * np.finfo(float).eps * s_ref[0] / gap
+    assert np.all(np.linalg.norm(V - V_ref, axis=0) <= tol)
+    if rows <= n:  # the stacked blocks are S A itself
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(streamed.right_vectors, V_ref)
+
+
+def test_streamed_factorization_leaves_no_thread(rng, monkeypatch):
+    A = _sketch_pair(rng, 600, 10, sparse=True)
+    S = SketchOperator(kind="gaussian", rows=900, cols=600, seed=2)
+    before = threading.active_count()
+
+    kw_factorization(A, sketch=S)
+    assert threading.active_count() == before
+
+    # A fold that fails part way through the stream.
+    def failing_tpqrt(*args, **kwargs):
+        raise RuntimeError("fold failed")
+    monkeypatch.setattr(lsbe.core.scipy.linalg.lapack, "dtpqrt",
+                        failing_tpqrt)
+    with pytest.raises(RuntimeError, match="fold failed"):
+        kw_factorization(A, sketch=S)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    blocks = S.row_blocks(A)
+    first = next(blocks)
+    assert first.shape == (256, 10)
+    assert threading.active_count() == before + 1  # the helper is drawing
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_single_block_sketch_starts_no_thread(rng, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single-block sketch started a thread")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    A = _sketch_pair(rng, 300, 10, sparse=True)
+    for S in (SketchOperator(kind="gaussian", rows=256, cols=300, seed=1),
+              SketchOperator(kind="sparse_sign", rows=600, cols=300, seed=1)):
+        kw_factorization(A, sketch=S)

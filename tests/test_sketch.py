@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +55,78 @@ def test_gaussian_streaming_matches_materialized():
     out = apply_sketch(SketchOperator(kind="gaussian", rows=rows, cols=m,
                                       seed=seed), V)
     assert np.allclose(out, S_full @ V, rtol=0, atol=1e-13)
+
+
+def _gaussian_block_loop(S, V):
+    """The single-thread Gaussian apply: draw a block of 256 rows, scale
+    it, take its product with V, repeat."""
+    squeeze = False
+    if not sp.issparse(V):
+        V = np.asarray(V, dtype=float)
+        if V.ndim == 1:
+            V, squeeze = V[:, None], True
+    rng = np.random.default_rng(S.seed)
+    scale = 1.0 / np.sqrt(S.rows)
+    out = np.empty((S.rows, V.shape[1]))
+    for start in range(0, S.rows, 256):
+        stop = min(start + 256, S.rows)
+        block = rng.standard_normal((stop - start, S.cols)) * scale
+        if sp.issparse(V):
+            out[start:stop] = (V.T @ block.T).T
+        else:
+            out[start:stop] = block @ V
+    return out[:, 0] if squeeze else out
+
+
+@pytest.mark.parametrize("form", ["dense", "csc", "1-D"])
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+def test_gaussian_stream_equals_block_loop(form, rows):
+    m = 60
+    gen = np.random.default_rng(rows)
+    V = sp.random(m, 4, density=0.3, format="csc", random_state=rows + 1)
+    V = {"dense": V.toarray(), "csc": V, "1-D": gen.standard_normal(m)}[form]
+    S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=3)
+    out = apply_sketch(S, V)
+    assert np.array_equal(out, _gaussian_block_loop(S, V))
+    blocks = list(S.row_blocks(V))
+    assert [len(b) for b in blocks] == [min(256, rows - start)
+                                        for start in range(0, rows, 256)]
+    assert np.array_equal(np.concatenate(blocks), out)
+
+
+def test_gaussian_streams_under_thread_switching():
+    # Three streams at once, each with its own helper thread, switching
+    # threads as often as the interpreter allows: each still equals the
+    # single-thread loop.
+    m = 60
+    V = np.random.default_rng(5).standard_normal((m, 3))
+    S = SketchOperator(kind="gaussian", rows=1100, cols=m, seed=9)
+    expected = _gaussian_block_loop(S, V)
+    results = []
+    workers = [threading.Thread(target=lambda: results.append(
+        apply_sketch(S, V))) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == 3
+    assert all(np.array_equal(out, expected) for out in results)
+
+
+@pytest.mark.parametrize("kind", ["sparse_sign", "identity", "synthetic_eta"])
+def test_other_kinds_stream_as_one_block(rng, kind):
+    V = rng.standard_normal((40, 3))
+    S = SketchOperator(kind=kind, rows=40 if kind != "sparse_sign" else 300,
+                       cols=40, seed=2, eta=0.2)
+    blocks = list(S.row_blocks(V))
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], apply_sketch(S, V))
 
 
 def test_gaussian_determinism(rng):
