@@ -12,7 +12,7 @@ from .estimates import (KWFactorization, RecycledDirection, kw,
 from .exact import (MuResult, mu_all_methods, mu_exact, mu_fixed_point,
                     mu_gevp, mu_sigma_min)
 from .pencil import (HyperbolicCS, JSignature, PencilEigen, hyperbolic_cs,
-                     j_pencil_eig, tr_minus, tr_plus)
+                     j_pencil_eig, tr_minus)
 from .sketch import SketchOperator, apply_sketch, measure_distortion
 from .solver import (TRACE_COLUMNS, CountingOperator, SolverConfig,
                      SolverTrace, TraceRow, estimate_bounds, lsmr,
@@ -24,7 +24,7 @@ __all__ = [
     "LSProblem", "WeightedResidual", "CompressedPair", "MatrixOperator",
     "weighted_residual", "compress_pair",
     "JSignature", "PencilEigen", "HyperbolicCS", "j_pencil_eig", "tr_minus",
-    "tr_plus", "hyperbolic_cs",
+    "hyperbolic_cs",
     "MuResult", "mu_exact", "mu_sigma_min", "mu_fixed_point", "mu_gevp",
     "mu_all_methods",
     "KWFactorization", "kw_factorization", "RecycledDirection",

@@ -31,45 +31,40 @@ from .solver import SolverConfig, estimate_bounds, lsmr
 from .solver import _power_spectral_norm
 
 
-def _parse_theta(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("theta must be positive or 'inf'")
-    return value
+def _checked(name: str, convert, ok, rule: str):
+    """An argparse type named name: convert the text, then require
+    ok(value).  argparse reports text that convert rejects as "invalid
+    <name> value" and a value that breaks the rule as "<name> must be
+    <rule>"; either exits with status 2 before any work is done."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _parse_rows_factor(text: str) -> float:
-    value = float(text)
-    try:
-        sketch_rows(value, 1)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
-def _parse_mu_est(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("mu_est must be finite and >= 0")
-    return value
-
-
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
-    return value
+_theta = _checked("theta", float, lambda v: v > 0, "positive or 'inf'")
+_seed = _checked("seed", int, lambda v: v >= 0, "a non-negative integer")
+_rows_factor = _checked("sketch rows factor", float, _finite_positive,
+                        "finite and positive")
+_mu_est = _checked("mu_est", float, lambda v: math.isfinite(v) and v >= 0,
+                   "finite and >= 0")
+_trials = _checked("trials", int, lambda v: v >= 1, "at least 1")
+_scale = _checked("scale", float, _finite_positive, "finite and positive")
 
 
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sketch", choices=["gaussian", "sparse-sign",
                                         "identity"], default="gaussian")
-    p.add_argument("--sketch-rows-factor", type=_parse_rows_factor,
-                   default=6.0,
+    p.add_argument("--sketch-rows-factor", type=_rows_factor, default=6.0,
                    help="sketch rows as a multiple of n (default 6)")
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _build_sketch(kind: str, factor: float, m: int, n: int,
@@ -181,14 +176,15 @@ def cmd_solve(args) -> int:
             "rows_factor": args.sketch_rows_factor,
             "rows": S.rows,
         },
-        "solver": {k: (None if isinstance(v, float) and math.isnan(v) else v)
+        "solver": {k: (str(v) if isinstance(v, float)
+                       and not math.isfinite(v) else v)
                    for k, v in dataclasses.asdict(config).items()},
         "out": args.out,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+        json.dump(manifest, fh, indent=2, default=str, allow_nan=False)
         fh.write("\n")
 
     print(f"iterations = {trace.iterations}")
@@ -234,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("matrix", help="MatrixMarket file for A")
     est.add_argument("x", help="approximate solution (text or MM array)")
     est.add_argument("b", help="right-hand side (text or MM array)")
-    est.add_argument("--theta", type=_parse_theta, default=math.inf)
+    est.add_argument("--theta", type=_theta, default=math.inf)
     est.add_argument("--method",
                      choices=["eig", "sigma-min", "fixed-point", "gevp",
                               "all"], default="all")
-    est.add_argument("--mu-est", type=_parse_mu_est, default=0.0)
+    est.add_argument("--mu-est", type=_mu_est, default=0.0)
     _add_sketch_flags(est)
     est.set_defaults(func=cmd_estimate)
 
@@ -248,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--rhs", default=None,
                      help="optional right-hand side file; generated from "
                           "the seed when absent")
-    sol.add_argument("--theta", type=_parse_theta, default=math.inf)
+    sol.add_argument("--theta", type=_theta, default=math.inf)
     sol.add_argument("--atol", type=float, default=1e-12)
     sol.add_argument("--max-iters", type=int, default=None)
     sol.add_argument("--estimate-every", type=int, default=1)
@@ -262,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify", help="run the acceptance property suites")
-    ver.add_argument("--trials", type=int, default=None,
+    ver.add_argument("--trials", type=_trials, default=None,
                      help="absolute per-suite instance count "
                           "(overrides --scale)")
-    ver.add_argument("--scale", type=float, default=0.25,
+    ver.add_argument("--scale", type=_scale, default=0.25,
                      help="fraction of the full suite sizes (default 0.25, "
                           "keeps the run under a minute)")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--gl7d12", default=None,
                      help="path to the GL7d12 MatrixMarket file")
     ver.add_argument("--inject-failure", action="store_true",

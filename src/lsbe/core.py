@@ -145,10 +145,6 @@ class CompressedPair:
     TR: np.ndarray
     normR: float
 
-    @property
-    def k(self) -> int:
-        return self.TA.shape[0]
-
 
 def theta_scale(theta: float, normx: float) -> float:
     """The factor c with r_theta = c r for one right-hand side:

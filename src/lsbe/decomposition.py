@@ -35,7 +35,6 @@ class DecompositionWitness:
     Q: np.ndarray
     summands: np.ndarray
     total: float
-    k: int
     swapped: bool = False
     regularization_eps: float = 0.0
 
@@ -55,12 +54,13 @@ def decomposition_sum(A, Rtheta, P, Q) -> float:
     P, Q, Rtheta = _as_2d(P, "P"), _as_2d(Q, "Q"), _as_2d(Rtheta, "Rtheta")
     _check_orthonormal(P, "P", 1e-8)
     _check_orthonormal(Q, "Q", 1e-8)
-    AP = A @ P
-    RQ = Rtheta @ Q
-    total = 0.0
-    for i in range(P.shape[1]):
-        total += mu_rank_one(AP[:, i], RQ[:, i]) ** 2
-    return math.sqrt(total)
+    return float(np.linalg.norm(_summands(A @ P, Rtheta @ Q)))
+
+
+def _summands(LP, RQ) -> np.ndarray:
+    """The rank-one values mu(LP[:, i], RQ[:, i]), one per column pair."""
+    return np.array([mu_rank_one(LP[:, i], RQ[:, i])
+                     for i in range(LP.shape[1])])
 
 
 def _oriented_pair(A, Rtheta):
@@ -74,14 +74,12 @@ def _oriented_pair(A, Rtheta):
 def _witness(left, right, P, Q, swapped: bool,
              eps: float = 0.0) -> DecompositionWitness:
     """Witness of (P, Q) on the oriented pair, in the caller's orientation."""
-    LP, RQ = left @ P, right @ Q
-    summands = np.array(
-        [mu_rank_one(LP[:, i], RQ[:, i]) for i in range(P.shape[1])])
+    summands = _summands(left @ P, right @ Q)
     if swapped:
         P, Q = Q, P
     return DecompositionWitness(
         P=P, Q=Q, summands=summands, total=float(np.linalg.norm(summands)),
-        k=summands.size, swapped=swapped, regularization_eps=eps)
+        swapped=swapped, regularization_eps=eps)
 
 
 def optimal_pq(A, Rtheta) -> DecompositionWitness:

@@ -116,20 +116,19 @@ def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
     return p_tilde + kwf.solve(residual, shift)
 
 
-def ub_deflation(Ap_tilde, r_theta, At_u) -> float:
-    """Upper bound from deflating along u = Ap - r_theta:
+def ub_deflation(u, r_theta, At_u) -> float:
+    """Upper bound from deflating along u:
     sqrt((||A'u|| / ||u||)^2 + ||(I - u u+) r_theta||^2).
 
-    At_u must be A'u for u = Ap_tilde - r_theta (one rmatvec).  Raises
-    ZeroDeflator when u vanishes.
+    u is the deflator (Ap - r_theta in the estimator pipeline) and At_u
+    its product A'u (one rmatvec).  Raises ZeroDeflator when u vanishes.
     """
-    Ap_tilde = np.asarray(Ap_tilde, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
     r = np.asarray(r_theta, dtype=float).ravel()
     At_u = np.asarray(At_u, dtype=float).ravel()
-    u = Ap_tilde - r
     nu2 = float(u @ u)
     if nu2 == 0.0:
-        raise ZeroDeflator("deflation vector Ap - r_theta is zero")
+        raise ZeroDeflator("deflation vector is zero")
     term_col = float(At_u @ At_u) / nu2
     term_res = float(r @ r) - float(u @ r) ** 2 / nu2
     return math.sqrt(term_col + max(term_res, 0.0))

@@ -8,8 +8,6 @@ schema-version line ahead of the column header.
 from __future__ import annotations
 
 import csv
-import io
-import math
 import typing
 
 import numpy as np
@@ -52,7 +50,9 @@ def load_dense(path: str) -> np.ndarray:
     return np.atleast_1d(np.loadtxt(path, dtype=float))
 
 
-def _fmt(value) -> str:
+def fmt_float(value) -> str:
+    """17-significant-digit rendering used for traces and reports (doubles
+    round-trip exactly); integers print as integers."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -65,35 +65,27 @@ def write_trace_csv(rows: list[TraceRow], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(TRACE_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, col))
+            writer.writerow([fmt_float(getattr(row, col))
                              for col in TRACE_COLUMNS])
 
 
 def read_trace_csv(path: str) -> list[TraceRow]:
     """Parse a trace CSV back into rows (exact round trip)."""
     with open(path, "r", newline="") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header = next(reader)
-    if header != TRACE_COLUMNS:
-        raise UnsupportedFormat(f"{path}: unexpected trace columns {header}")
-    return [TraceRow(**{col: _COLUMN_TYPES[col](value)
-                        for col, value in zip(TRACE_COLUMNS, rec)})
-            for rec in reader if rec]
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(reader)
+        if header != TRACE_COLUMNS:
+            raise UnsupportedFormat(
+                f"{path}: unexpected trace columns {header}")
+        return [TraceRow(**{col: _COLUMN_TYPES[col](value)
+                            for col, value in zip(TRACE_COLUMNS, rec)})
+                for rec in reader if rec]
 
 
 def trace_schema_of(path: str) -> str:
     with open(path, "r", newline="") as fh:
         first = fh.readline().strip()
     return first[1:].strip() if first.startswith("#") else ""
-
-
-def fmt_float(x: float) -> str:
-    """17-significant-digit rendering used across reports."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return _fmt(x)
 
 
 __all__ = ["load_matrix", "load_dense", "write_trace_csv", "read_trace_csv",

@@ -106,8 +106,6 @@ def j_pencil_eig(M, sig: JSignature) -> PencilEigen:
         G = scipy.linalg.cholesky(M, lower=False)  # M = G'G
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - alias
-        raise NotPositiveDefinite(str(exc)) from exc
 
     Gi = scipy.linalg.solve_triangular(G, np.eye(k), lower=False)
     j = sig.diagonal()
@@ -158,24 +156,14 @@ def gram_pencil(left, right, eps: float = 0.0) -> tuple[PencilEigen, float]:
     return j_pencil_eig(M + eps * np.eye(sig.size), sig), eps
 
 
-def _signed_eig_sums(Msym) -> tuple[float, float]:
-    M = _check_symmetric(Msym, "Msym")
-    w = np.linalg.eigvalsh(M)
-    band = TOL_EIG * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return float(w[w < -band].sum()), float(w[w > band].sum())
-
-
 def tr_minus(Msym) -> float:
     """Sum of the negative eigenvalues of a symmetric matrix.
 
     Eigenvalues above -tol_eig * max(1, ||M||_2) do not contribute.
     """
-    return _signed_eig_sums(Msym)[0]
-
-
-def tr_plus(Msym) -> float:
-    """Complementary sum: eigenvalues above +tol_eig * max(1, ||M||_2)."""
-    return _signed_eig_sums(Msym)[1]
+    w = np.linalg.eigvalsh(_check_symmetric(Msym, "Msym"))
+    band = TOL_EIG * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return float(w[w < -band].sum())
 
 
 def hyperbolic_cs(X, sig: JSignature) -> HyperbolicCS:

@@ -216,23 +216,22 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
     With trials == 0 the exact extremal values are computed from the
     generalized eigenvalues of (SA)'(SA) against A'A, which requires A to
     have numerical full column rank (RankDeficient otherwise).  With
-    trials > 0 the distortions are sampled over random directions, which
-    scales to problems where the exact path is too expensive.
+    trials > 0 the distortions are sampled over random directions y (one
+    column of Y per trial, directions with Ay = 0 skipped), and S is
+    applied once to all of AY, which scales to problems where the exact
+    path is too expensive.
     """
     if not is_sparse(A):
         A = np.asarray(A, dtype=float)
     if trials > 0:
-        rng = np.random.default_rng(seed)
-        lo, hi = np.inf, -np.inf
-        for _ in range(trials):
-            y = rng.standard_normal(A.shape[1])
-            Ay = A @ y
-            ny = float(np.linalg.norm(Ay))
-            if ny == 0.0:
-                continue
-            ratio = float(np.linalg.norm(apply_sketch(S, Ay))) / ny
-            lo, hi = min(lo, ratio), max(hi, ratio)
-        return 1.0 - lo, hi - 1.0
+        Y = np.random.default_rng(seed).standard_normal((trials, A.shape[1]))
+        AY = A @ Y.T
+        norms = np.linalg.norm(AY, axis=0)
+        seen = norms > 0.0
+        ratios = np.linalg.norm(apply_sketch(S, AY[:, seen]), axis=0)
+        ratios /= norms[seen]
+        return (1.0 - float(ratios.min(initial=np.inf)),
+                float(ratios.max(initial=-np.inf)) - 1.0)
 
     Ad = A.toarray() if is_sparse(A) else A
     sv = np.linalg.svd(Ad, compute_uv=False)

@@ -59,6 +59,8 @@ class SolverConfig:
             raise ValueError("refine_steps must be nonnegative")
         if not (self.recycle_threshold >= 0):  # rejects NaN too
             raise ValueError("recycle_threshold must be nonnegative")
+        if not (self.theta > 0):  # rejects NaN and nonpositive values
+            raise ValueError("theta must be positive (math.inf allowed)")
         if self.norm_A_2 is not None and not (
                 math.isfinite(self.norm_A_2) and self.norm_A_2 > 0):
             raise ValueError("norm_A_2 must be finite and positive (or None)")
@@ -163,8 +165,7 @@ def _power_spectral_norm(ops: MatrixOperator, steps: int = 20) -> float:
     return math.sqrt(sigma2)
 
 
-def recycle_policy(row: TraceRow, direction: RecycledDirection,
-                   config: SolverConfig) -> str:
+def recycle_policy(row: TraceRow, config: SolverConfig) -> str:
     """Decide whether a recycled direction is still useful.
 
     Recompute when the recycled bound, relative to ||A||_2, has fallen
@@ -222,15 +223,18 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
         mu_est = 0.0
         p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est)
     np_t = float(np.linalg.norm(p_tilde))
-    if not np_t > 0.0:
+    fresh = None
+    if np_t > 0.0:
+        p_hat = p_tilde / np_t
+        fresh = RecycledDirection(p=p_hat, Ap=ops.matvec(p_hat), born_at=itn,
+                                  mu_est_used=mu_est)
+    recycled = fresh if direction is None else direction
+    values["lb_recycled"] = (0.0 if recycled is None
+                             else mu_rank_one(recycled.Ap, r_theta))
+    if fresh is None:
         values["lb_fresh"] = 0.0
-        values["lb_recycled"] = (0.0 if direction is None
-                                 else mu_rank_one(direction.Ap, r_theta))
         return values, None
-    p_hat = p_tilde / np_t
-    Ap = ops.matvec(p_hat)
-    fresh = RecycledDirection(p=p_hat, Ap=Ap, born_at=itn,
-                              mu_est_used=mu_est)
+    Ap = fresh.Ap
     values["lb_fresh"] = mu_rank_one(Ap, r_theta)
     if refine_steps > 0:
         q = p_tilde
@@ -239,11 +243,10 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
         nq = float(np.linalg.norm(q))
         if nq > 0.0:
             values["lb_refined"] = mu_rank_one(ops.matvec(q / nq), r_theta)
-    values["lb_recycled"] = mu_rank_one(
-        (fresh if direction is None else direction).Ap, r_theta)
     u_def = Ap - r_theta
     if float(np.linalg.norm(u_def)) > 0.0:
-        values["ub_deflation"] = ub_deflation(Ap, r_theta, ops.rmatvec(u_def))
+        values["ub_deflation"] = ub_deflation(u_def, r_theta,
+                                              ops.rmatvec(u_def))
     if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
         U = pair_basis(Ap, r_theta)
         rows_UA = np.stack([ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
@@ -273,17 +276,14 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
             values, fresh = estimate_bounds(
                 ops, kwf, r_th, norm_rth, cth * At_r,
                 refine_steps=config.refine_steps, direction=direction, itn=itn)
-            if direction is None:
-                direction = fresh
 
     row = TraceRow(
         iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
         mu_true=mu_t, matvec_count=ops.matvecs, rmatvec_count=ops.rmatvecs,
         **values)
 
-    if (direction is not None and fresh is not None
-            and math.isfinite(row.lb_recycled)
-            and recycle_policy(row, direction, config) == "recompute"):
+    if fresh is not None and (direction is None
+                              or recycle_policy(row, config) == "recompute"):
         direction = fresh
     return row, direction
 

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import scipy.sparse as sp
 import lsbe.cli
 import lsbe.core
 import lsbe.exact
-from lsbe import mu_all_methods, mu_exact, weighted_residual, LSProblem
+from lsbe import (mu_all_methods, mu_exact, weighted_residual, LSProblem,
+                  kw_multi)
 from lsbe.cli import main
 from lsbe.fileio import (TRACE_SCHEMA, load_dense, load_matrix,
                          read_trace_csv, trace_schema_of, write_trace_csv)
@@ -119,6 +121,35 @@ def test_estimate_matches_recorded_output(capsys, flags, fixture):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_estimate_multiple_rhs(tmp_path, capsys, rng):
+    # d = 2: only the eigenvalue route runs, nu comes from kw_multi, and
+    # the single-residual sketched suite is not printed.
+    A = rng.standard_normal((12, 3))
+    X = rng.standard_normal((3, 2))
+    B = A @ X + 0.1 * rng.standard_normal((12, 2))
+    paths = _write_instance(tmp_path, A, X, B)
+    assert main(["estimate", *paths]) == 0
+    out = capsys.readouterr().out
+    values = _parse_report(out)
+    assert values["d"] == 2
+    for name in ("sigma-min", "fixed-point", "gevp"):
+        assert f"mu[{name}] skipped (needs a single right-hand side)" in out
+    A_loaded = load_matrix(paths[0])
+    wr = weighted_residual(LSProblem(A_loaded, load_dense(paths[2])),
+                           load_dense(paths[1]))
+    assert values["mu[eig]"] == mu_exact(A_loaded, wr.Rtheta).mu
+    assert values["nu"] == kw_multi(A_loaded, wr.Rtheta)
+    assert values["mu_over_nu"] == values["mu[eig]"] / values["nu"]
+    assert "nu_sketched" not in values and "lb_sketched" not in values
+
+
+def test_estimate_identity_sketch_gives_nu(capsys):
+    # With S = I the sketched estimate is nu itself.
+    assert main(["estimate", TINY, *TINY_XB, "--sketch", "identity"]) == 0
+    values = _parse_report(capsys.readouterr().out)
+    assert values["nu_sketched"] == pytest.approx(values["nu"], rel=1e-12)
+
+
 def test_estimate_mu_est_above_sketch_limit_resets(capsys):
     assert main(["estimate", TINY, *TINY_XB, "--mu-est", "1e6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -170,6 +201,38 @@ def test_solve_smoke_and_csv_schema(tmp_path):
     assert manifest["seed"] == 0
 
 
+def test_solve_with_rhs_file(tmp_path, capsys):
+    # --rhs replaces the seeded right-hand side: the run converges to the
+    # least-squares residual of the stored b.
+    out = tmp_path / "t.csv"
+    assert main(["solve", TINY, "--rhs", TINY_XB[1], "--out", str(out),
+                 "--sketch", "identity"]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["rhs"] == TINY_XB[1]
+    assert manifest["sketch"]["rows"] == 20  # identity: m rows
+    A, b = load_matrix(TINY), load_dense(TINY_XB[1])
+    x_ls = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
+    assert read_trace_csv(str(out))[-1].norm_r == pytest.approx(
+        np.linalg.norm(b - A @ x_ls), rel=1e-8)
+
+
+def test_solve_manifest_is_strict_json(tmp_path):
+    # The default theta is infinite; the manifest spells it "inf", so a
+    # parser that rejects NaN and Infinity reads the file.
+    out = tmp_path / "t.csv"
+    assert main(["solve", TINY, "--out", str(out),
+                 "--recycle-threshold", "inf"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = Path(str(out) + ".manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert manifest["solver"]["theta"] == "inf"
+    assert manifest["solver"]["recycle_threshold"] == "inf"
+    assert manifest["solver"]["atol"] == 1e-12
+
+
 def test_solve_byte_identical_reruns(tmp_path):
     out1 = str(tmp_path / "a.csv")
     out2 = str(tmp_path / "b.csv")
@@ -177,7 +240,7 @@ def test_solve_byte_identical_reruns(tmp_path):
             "--true-mu", "on"]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 @pytest.mark.parametrize("factor", ["1.5", "6", "16"])
@@ -198,7 +261,7 @@ def test_trace_roundtrip_lossless(tmp_path, rng):
     assert main(["solve", TINY, "--out", out, "--true-mu", "on"]) == 0
     rows = read_trace_csv(out)
     write_trace_csv(rows, out + ".again")
-    assert open(out, "rb").read() == open(out + ".again", "rb").read()
+    assert Path(out).read_bytes() == Path(out + ".again").read_bytes()
 
 
 def test_rejects_complex_matrix(tmp_path):
@@ -285,6 +348,45 @@ def test_negative_seed_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
     assert "seed must be a non-negative integer" in captured.err
     assert captured.out == ""  # no exact route ran first
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--scale", "inf"], "scale must be finite and positive"),
+    (["--scale", "nan"], "scale must be finite and positive"),
+    (["--scale", "-1"], "scale must be finite and positive"),
+    (["--scale", "0"], "scale must be finite and positive"),
+    (["--trials", "-5"], "trials must be at least 1"),
+    (["--trials", "0"], "trials must be at least 1"),
+    (["--seed", "-3"], "seed must be a non-negative integer"),
+    (["--seed", "x"], "invalid seed value: 'x'"),
+    (["--trials", "1.5"], "invalid trials value: '1.5'")])
+def test_verify_flags_rejected_at_parse_time(capsys, monkeypatch, flags,
+                                             message):
+    def no_run(**kwargs):
+        raise AssertionError("suites ran before the flags were checked")
+
+    monkeypatch.setattr(lsbe.cli, "run_all", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--theta", "x"), ("--sketch-rows-factor", "x"), ("--mu-est", "x")])
+def test_parse_errors_name_the_value(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", TINY, *TINY_XB, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and "_parse" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity", "INF"])
+def test_theta_accepts_infinity(value):
+    args = lsbe.cli.build_parser().parse_args(
+        ["solve", TINY, "--theta", value])
+    assert args.theta == float("inf")
 
 
 def test_load_matrix_dense_array_format(tmp_path, rng):

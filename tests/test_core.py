@@ -46,6 +46,16 @@ def test_weighted_residual_matches_matrix_function_oracle(rng):
     assert np.allclose(wr.Rtheta, oracle, rtol=1e-12, atol=1e-13)
 
 
+def test_weighted_residual_multi_rhs_infinite_theta(rng):
+    # theta = inf applies (X'X)^{-1/2} on the right.
+    A = rng.standard_normal((8, 3))
+    B = rng.standard_normal((8, 2))
+    X = rng.standard_normal((3, 2))
+    wr = weighted_residual(LSProblem(A, B), X)
+    oracle = (B - A @ X) @ np.linalg.inv(scipy.linalg.sqrtm(X.T @ X).real)
+    assert np.allclose(wr.Rtheta, oracle, rtol=1e-12, atol=1e-13)
+
+
 def test_weighted_residual_rank_deficient_rejected(rng):
     A = rng.standard_normal((6, 3))
     B = rng.standard_normal((6, 2))

@@ -326,7 +326,7 @@ def test_ub_deflation_zero_residual(rng):
     p /= np.linalg.norm(p)
     Ap = A @ p
     r = np.zeros(7)
-    val = ub_deflation(Ap, r, A.T @ Ap)
+    val = ub_deflation(Ap - r, r, A.T @ Ap)
     assert val >= 0.0
     assert val == pytest.approx(np.linalg.norm(A.T @ Ap)
                                 / np.linalg.norm(Ap), rel=1e-12)
@@ -341,14 +341,14 @@ def test_ub_deflation_exact_eigenvector_attains(rng):
     w, V = np.linalg.eigh(0.5 * (W + W.T))
     assert w[0] < 0
     u = V[:, 0]
-    val = ub_deflation(u + r, r, A.T @ u)
+    val = ub_deflation(u, r, A.T @ u)
     assert val == pytest.approx(mu_exact(A, r[:, None]).mu, rel=1e-10)
 
 
 def test_ub_deflation_zero_deflator(rng):
     r = rng.standard_normal(5)
     with pytest.raises(ZeroDeflator):
-        ub_deflation(r, r, np.zeros(2))
+        ub_deflation(r - r, r, np.zeros(2))
 
 
 def test_ub_deflation_soundness_sweep(rng):
@@ -362,7 +362,7 @@ def test_ub_deflation_soundness_sweep(rng):
         u = Ap - r
         if np.linalg.norm(u) == 0.0:
             continue
-        assert ub_deflation(Ap, r, A.T @ u) >= mu - 1e-12
+        assert ub_deflation(u, r, A.T @ u) >= mu - 1e-12
 
 
 def test_ub_generous_rank_one_basis(rng):
@@ -403,7 +403,7 @@ def test_upper_bound_ordering_sweep(rng):
         p /= np.linalg.norm(p)
         Ap = A @ p
         u = Ap - r
-        ubd = ub_deflation(Ap, r, A.T @ u)
+        ubd = ub_deflation(u, r, A.T @ u)
         U = pair_basis(Ap, r)
         rows_UA = np.stack([A.T @ U[:, i] for i in range(U.shape[1])])
         ubg = ub_generous(rows_UA, U.T @ r)

@@ -32,6 +32,29 @@ def test_invalid_kind():
         SketchOperator(kind="hadamard", rows=4, cols=4)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "gaussian", "rows": 0, "cols": 4}, "positive"),
+    ({"kind": "gaussian", "rows": 4, "cols": 0}, "positive"),
+    ({"kind": "identity", "rows": 4, "cols": 5}, "rows == cols"),
+    ({"kind": "sparse_sign", "rows": 4, "cols": 6, "nnz_per_col": 0},
+     "nnz_per_col"),
+    ({"kind": "sparse_sign", "rows": 4, "cols": 6, "nnz_per_col": 5},
+     "nnz_per_col"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 6, "eta": -0.1}, "eta"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 6, "eta": 1.0}, "eta"),
+    ({"kind": "synthetic_eta", "rows": 5, "cols": 6}, "rows >= cols"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 1}, "cols >= 2"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 6,
+      "subspace": np.eye(5, 2)}, "cols x"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 6,
+      "subspace": np.eye(6, 1)}, "cols x"),
+    ({"kind": "synthetic_eta", "rows": 6, "cols": 6,
+      "subspace": 2.0 * np.eye(6, 2)}, "orthonormal")])
+def test_invalid_sketch_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SketchOperator(**kwargs)
+
+
 def test_gaussian_norm_preservation_over_seeds(rng):
     m = 30
     v = rng.standard_normal(m)
@@ -202,6 +225,41 @@ def test_sampled_distortion_within_exact(rng):
     lo_s, hi_s = measure_distortion(S, A, trials=200, seed=1)
     assert lo_s <= lo_exact + 1e-12
     assert hi_s <= hi_exact + 1e-12
+
+
+def _sampled_distortion_loop(S, A, trials, seed):
+    """Sampled distortion one direction and one sketch apply at a time."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.inf, -np.inf
+    for _ in range(trials):
+        Ay = A @ rng.standard_normal(A.shape[1])
+        ny = float(np.linalg.norm(Ay))
+        if ny == 0.0:
+            continue
+        ratio = float(np.linalg.norm(apply_sketch(S, Ay))) / ny
+        lo, hi = min(lo, ratio), max(hi, ratio)
+    return 1.0 - lo, hi - 1.0
+
+
+@pytest.mark.parametrize("kind, rows", [
+    ("gaussian", 180), ("gaussian", 600), ("sparse_sign", 180)])
+def test_sampled_distortion_matches_per_direction_loop(rng, kind, rows):
+    # One apply of S to all of AY gives the values of sketching each Ay
+    # on its own, over the same directions in the same order; the blocked
+    # products and column norms sum in another order, hence a few ulps.
+    A = rng.standard_normal((400, 30))
+    S = SketchOperator(kind=kind, rows=rows, cols=400, seed=5)
+    batched = measure_distortion(S, A, trials=60, seed=11)
+    looped = _sampled_distortion_loop(S, A, 60, 11)
+    assert batched == pytest.approx(looped, rel=1e-14, abs=1e-15)
+
+
+def test_sampled_distortion_skips_null_directions():
+    # Directions with Ay = 0 carry no ratio; with A = 0 none is left.
+    S = SketchOperator(kind="gaussian", rows=12, cols=10, seed=1)
+    A = np.zeros((10, 3))
+    assert measure_distortion(S, A, trials=5) == \
+        _sampled_distortion_loop(S, A, 5, 0) == (-math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])

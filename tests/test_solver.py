@@ -129,7 +129,6 @@ def test_sparse_operator_supported(rng):
 
 def test_recycle_policy_keep_and_recompute():
     config = SolverConfig(recycle_threshold=1e-12, norm_A_2=1.0)
-    direction = RecycledDirection(p=np.array([1.0]), Ap=np.array([1.0]))
 
     def row_with(lb):
         return TraceRow(iter=1, norm_r=1, norm_Atr=1, norm_r_theta=1,
@@ -137,15 +136,14 @@ def test_recycle_policy_keep_and_recompute():
                         lb_recycled=lb, ub_deflation=1, ub_generous=1,
                         mu_true=math.nan, matvec_count=0, rmatvec_count=0)
 
-    assert recycle_policy(row_with(1e-3), direction, config) == "keep"
-    assert recycle_policy(row_with(0.0), direction, config) == "recompute"
+    assert recycle_policy(row_with(1e-3), config) == "keep"
+    assert recycle_policy(row_with(0.0), config) == "recompute"
 
 
 def test_recycle_policy_fires_at_first_crossing():
     # Scripted decreasing bound values: the first recompute happens exactly
     # at the first value that drops below the relative threshold.
     config = SolverConfig(recycle_threshold=1e-6, norm_A_2=2.0)
-    direction = RecycledDirection(p=np.array([1.0]), Ap=np.array([1.0]))
     values = [1e-2, 1e-3, 1e-4, 1e-5, 2.1e-6, 1.2e-7, 1e-9]
     decisions = []
     for v in values:
@@ -153,19 +151,18 @@ def test_recycle_policy_fires_at_first_crossing():
                        nu_sketched=1, lb_fresh=1, lb_refined=1,
                        lb_recycled=v, ub_deflation=1, ub_generous=1,
                        mu_true=math.nan, matvec_count=0, rmatvec_count=0)
-        decisions.append(recycle_policy(row, direction, config))
+        decisions.append(recycle_policy(row, config))
     assert decisions == ["keep"] * 5 + ["recompute", "recompute"]
 
 
 def test_recycle_policy_needs_norm():
     config = SolverConfig()
-    direction = RecycledDirection(p=np.array([1.0]), Ap=np.array([1.0]))
     row = TraceRow(iter=1, norm_r=1, norm_Atr=1, norm_r_theta=1,
                    nu_sketched=1, lb_fresh=1, lb_refined=1, lb_recycled=1,
                    ub_deflation=1, ub_generous=1, mu_true=math.nan,
                    matvec_count=0, rmatvec_count=0)
     with pytest.raises(ValueError):
-        recycle_policy(row, direction, config)
+        recycle_policy(row, config)
 
 
 def _ls_problem(rng, m=120, n=10):
@@ -351,12 +348,14 @@ def test_config_validation():
                 {"norm_A_2": math.nan}, {"norm_A_2": math.inf},
                 {"recycle_threshold": math.nan},
                 {"recycle_threshold": -1e-12},
-                {"atol": math.inf}, {"atol": math.nan}):
+                {"atol": math.inf}, {"atol": math.nan},
+                {"theta": -1.0}, {"theta": 0.0}, {"theta": math.nan}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=1, refine_steps=0).max_iters == 1
     assert SolverConfig(norm_A_2=2.5).norm_A_2 == 2.5
     assert SolverConfig(recycle_threshold=0.0).recycle_threshold == 0.0
+    assert SolverConfig(theta=math.inf).theta == math.inf
 
 
 def test_zero_matrix_converges_at_once():
