@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import LSProblem, MatrixOperator, weighted_residual
+from .core import (LSProblem, MatrixOperator, kw_factorization_pair,
+                   weighted_residual)
 from .decomposition import brute_force_max, decomposition_sum, optimal_pq
 from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
@@ -349,11 +350,16 @@ def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
 
 
 def _trace_run(A, b, factor: int | float, seed: int, config: SolverConfig):
-    """lsmr on (A, b) with a Gaussian sketch of factor * n rows."""
+    """lsmr on (A, b) with a Gaussian sketch of factor * n rows; with
+    compute_true_mu, A is factored beside its sketch."""
     m, n = A.shape
     S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
                        seed=seed)
-    return lsmr(A, b, config, kw_factorization(A, sketch=S))
+    if config.compute_true_mu:
+        kwf, exact = kw_factorization_pair(A, S)
+    else:
+        kwf, exact = kw_factorization(A, sketch=S), None
+    return lsmr(A, b, config, kwf, exact=exact)
 
 
 def criterion_trace_soundness(seed: int = 0) -> CriterionResult:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import GL7D12_SHAPE, run_all, seeded_rhs
-from .core import LSProblem, MatrixOperator, weighted_residual
+from .core import (LSProblem, MatrixOperator, kw_factorization_pair,
+                   weighted_residual)
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
 from .estimates import kw_factorization, kw_multi, sketched_kw
@@ -96,7 +97,9 @@ def cmd_estimate(args) -> int:
         r = wr.Rtheta[:, 0]
         norm_r = float(np.linalg.norm(r))
         At_r = A.T @ r
-        kwf_A = kw_factorization(A)
+        S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
+                          args.seed)
+        kwf, kwf_A = kw_factorization_pair(A, S)
     routes = {"eig": mu_exact, "sigma-min": mu_sigma_min,
               "fixed-point": lambda M, R: mu_fixed_point(M, R, kwf=kwf_A),
               "gevp": mu_gevp}
@@ -117,10 +120,9 @@ def cmd_estimate(args) -> int:
         if nu > 0:
             print(f"mu_over_nu = {fmt_float(mu_ref / nu)}")
 
-    if d == 1:
-        S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
-                          args.seed)
-        kwf = kw_factorization(A, sketch=S)
+    if d != 1:
+        print("sketched estimates skipped (needs a single right-hand side)")
+    else:
         values, fresh = estimate_bounds(MatrixOperator(A), kwf, r, norm_r,
                                         At_r, args.mu_est)
         if fresh is not None and fresh.mu_est_used != args.mu_est:
@@ -162,8 +164,11 @@ def cmd_solve(args) -> int:
         b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
 
     S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
-    kwf = kw_factorization(A, sketch=S)
-    x, trace, stop_reason = lsmr(A, b, config, kwf)
+    if config.compute_true_mu:
+        kwf, exact = kw_factorization_pair(A, S)
+    else:
+        kwf, exact = kw_factorization(A, sketch=S), None
+    x, trace, stop_reason = lsmr(A, b, config, kwf, exact=exact)
 
     write_trace_csv(trace.rows, args.out)
     manifest = {

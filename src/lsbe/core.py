@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +261,10 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     with zero rows so the right singular vectors always span all of R^n
     (the Gram matrix M'M is unchanged by the padding).
 
+    The QR is LAPACK geqrf in place on a Fortran-ordered array that the
+    factorization owns: a sparse M is densified into one, a dense M is
+    copied into one (M itself is never written).
+
     With a sketch, S M is read from sketch.row_blocks(M).  Rows are stacked
     until there are more than n, factored by QR, and every later block is
     folded into R by LAPACK dtpqrt (a streamed TSQR), so only one block of
@@ -268,12 +273,31 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     kw_factorization(apply_sketch(sketch, M)).
     """
     if sketch is None:
-        R = _triangular_factor([M])
+        R = _triangular_factor(
+            [M if is_sparse(M) else np.array(M, dtype=float, order="F")])
     else:
         with contextlib.closing(sketch.row_blocks(M)) as blocks:
             R = _triangular_factor(blocks)
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
+
+
+def kw_factorization_pair(M, sketch) -> tuple[KWFactorization,
+                                              KWFactorization]:
+    """(kw_factorization(M, sketch=sketch), kw_factorization(M)), the second
+    computed on one helper thread while the calling thread computes the
+    first.
+
+    Both spend their time in LAPACK and BLAS, which release the
+    interpreter lock, so with a second core free the pair costs about as
+    much as the longer of the two; on one core they run in turn.  Each
+    result is the one the call on its own gives.  The helper is joined
+    before this returns or raises, and an error on either side propagates.
+    """
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="lsbe-exact-factor") as helper:
+        exact = helper.submit(kw_factorization, M)
+        return kw_factorization(M, sketch=sketch), exact.result()
 
 
 # Block size of the compact WY representation inside dtpqrt: the fastest
@@ -283,11 +307,12 @@ _TPQRT_NB = 64
 
 def _triangular_factor(blocks) -> np.ndarray:
     """An n x n (or, while the rows number at most n, zero-padded) matrix T
-    with T'T = M'M, for M given as a sequence of row blocks."""
+    with T'T = M'M, for M given as a sequence of row blocks.  The blocks
+    belong to the factorization, which overwrites them."""
     stacked, rows, R = [], 0, None
     for block in blocks:
         if is_sparse(block):
-            block = block.toarray()
+            block = block.toarray(order="F")
         block = np.asarray(block, dtype=float)
         n = block.shape[1]
         if R is not None:
@@ -300,7 +325,9 @@ def _triangular_factor(blocks) -> np.ndarray:
         stacked.append(block)
         rows += block.shape[0]
         if rows > n:
-            R = np.linalg.qr(_stack(stacked), mode="r")
+            # geqrf in place; R is the upper triangle of its first n rows.
+            _, R = scipy.linalg.qr(_stack(stacked), mode="raw",
+                                   overwrite_a=True, check_finite=False)
             stacked = None
     if R is not None:
         return R
@@ -310,4 +337,10 @@ def _triangular_factor(blocks) -> np.ndarray:
 
 
 def _stack(blocks) -> np.ndarray:
-    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    """The blocks one above the other in one Fortran-ordered array (a lone
+    Fortran-ordered block is returned as it is)."""
+    if len(blocks) == 1:
+        return np.asfortranarray(blocks[0])
+    out = np.empty((sum(len(b) for b in blocks), blocks[0].shape[1]),
+                   order="F")
+    return np.concatenate(blocks, out=out)

@@ -60,6 +60,8 @@ class SketchOperator:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.kind == "identity" and self.rows != self.cols:
             raise ValueError("identity sketch requires rows == cols")
         if self.kind == "sparse_sign" and not (
@@ -182,7 +184,8 @@ def _apply_whole(S: SketchOperator, V) -> np.ndarray:
         return V.toarray() if is_sparse(V) else np.array(V, copy=True)
     if S.kind == "sparse_sign":
         out = _sparse_sign_matrix(S) @ V
-        return out.toarray() if is_sparse(out) else out
+        # Fortran order, so kw_factorization takes its QR in place.
+        return out.toarray(order="F") if is_sparse(out) else out
     lift, u_plus, u_minus = _synthetic_parts(S)
     Vd = V.toarray() if is_sparse(V) else V
     scaled = (Vd + S.eta * np.outer(u_plus, u_plus @ Vd)

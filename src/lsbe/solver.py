@@ -33,7 +33,9 @@ class SolverConfig:
     against the recycled bound relative to ||A||_2; refine_steps counts
     refinement passes per trace row (0 disables); compute_true_mu adds the
     exact backward error to each row (A is densified only while factored
-    at setup, keeping s and V; each row costs O(nnz + n^2));
+    at set-up, keeping s and V, and lsmr takes that factorization as
+    exact= when the caller already has it, as `lsbe solve --true-mu on`
+    does from kw_factorization_pair; each row costs O(nnz + n^2));
     theta is the residual weighting, math.inf meaning normalization by
     ||x||.  norm_A_2 may supply a known spectral norm, otherwise it is
     estimated by power iteration at setup.
@@ -184,12 +186,13 @@ class _TrueMu:
     The secular-equation route keeps full relative accuracy when mu is
     tiny, where the eigenvalue formula loses everything to cancellation
     against ||r_theta||^2; the eigenvalue route remains as fallback.  Only
-    the singular values and right singular vectors of A are kept.
+    the singular values and right singular vectors of A are kept: kwf
+    when given, kw_factorization(A) otherwise.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, kwf: KWFactorization | None = None):
         self.A = A
-        self.kwf = kw_factorization(A)
+        self.kwf = kw_factorization(A) if kwf is None else kwf
 
     def __call__(self, r_theta: np.ndarray) -> float:
         try:
@@ -290,12 +293,15 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
 
 def lsmr(A, b, config: SolverConfig | None = None,
          kwf: KWFactorization | None = None,
-         stop_when: Callable[[TraceRow], bool] | None = None):
+         stop_when: Callable[[TraceRow], bool] | None = None,
+         exact: KWFactorization | None = None):
     """Minimize ||Ax - b|| by LSMR, tracing estimates along the way.
 
     kwf is the retained sketch factorization behind the estimates (None
     leaves the estimator columns NaN); stop_when, if given, sees every
-    trace row and stops the run when it returns True.  Returns
+    trace row and stops the run when it returns True; exact, only with
+    config.compute_true_mu, is kw_factorization(A) behind mu_true (None
+    factors A at set-up).  Returns
     (x, trace, stop_reason) with stop_reason one of "converged" (the
     ||A'r|| test fired), "estimator" (stop_when fired), "breakdown" (the
     bidiagonalization produced a zero vector first), or "max_iters".
@@ -313,13 +319,15 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if config.compute_true_mu and norm_A_fro is None:
         raise ValueError(
             "compute_true_mu needs A as an ndarray or a sparse matrix")
+    if exact is not None and not config.compute_true_mu:
+        raise ValueError("exact is the factorization behind compute_true_mu")
     fro_source = "input" if norm_A_fro is not None else "recurrence"
     norm_A_2 = config.norm_A_2 or _power_spectral_norm(ops)
     setup_mv, setup_rmv = ops.matvecs, ops.rmatvecs
     if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
         config = replace(config, norm_A_2=norm_A_2)
     max_iters = config.max_iters or 5 * min(m, n)
-    true_mu = _TrueMu(ops.matrix) if config.compute_true_mu else None
+    true_mu = _TrueMu(ops.matrix, exact) if config.compute_true_mu else None
 
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
                         norm_A_fro_source=fro_source, norm_A_2=norm_A_2,

@@ -143,6 +143,19 @@ def test_estimate_multiple_rhs(tmp_path, capsys, rng):
     assert "nu_sketched" not in values and "lb_sketched" not in values
 
 
+def test_estimate_multiple_rhs_says_sketch_flags_are_unused(tmp_path, capsys,
+                                                          rng):
+    A = rng.standard_normal((12, 3))
+    X = rng.standard_normal((3, 2))
+    B = A @ X + 0.1 * rng.standard_normal((12, 2))
+    paths = _write_instance(tmp_path, A, X, B)
+    assert main(["estimate", *paths, "--mu-est", "5", "--sketch",
+                 "sparse-sign", "--seed", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count(
+        "sketched estimates skipped (needs a single right-hand side)") == 1
+
+
 def test_estimate_identity_sketch_gives_nu(capsys):
     # With S = I the sketched estimate is nu itself.
     assert main(["estimate", TINY, *TINY_XB, "--sketch", "identity"]) == 0

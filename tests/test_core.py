@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,7 +14,8 @@ from scipy.sparse.linalg import aslinearoperator
 
 import lsbe.core
 from lsbe import (CountingOperator, LSProblem, MatrixOperator, compress_pair,
-                  kw_factorization, mu_exact, weighted_residual)
+                  kw_factorization, kw_factorization_pair, mu_exact,
+                  weighted_residual)
 from lsbe.errors import DimensionMismatch, RankDeficient, ShiftNotPD
 from lsbe.sketch import SketchOperator, apply_sketch
 from lsbe.pencil import tr_minus
@@ -283,3 +287,106 @@ def test_single_block_sketch_starts_no_thread(rng, monkeypatch):
     for S in (SketchOperator(kind="gaussian", rows=256, cols=300, seed=1),
               SketchOperator(kind="sparse_sign", rows=600, cols=300, seed=1)):
         kw_factorization(A, sketch=S)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csc"])
+@pytest.mark.parametrize("kind", [None, "identity", "sparse_sign"])
+def test_kw_factorization_never_writes_its_input(rng, layout, kind):
+    A = _sketch_pair(rng, 400, 20, sparse=True)
+    if layout != "csc":
+        A = np.array(A.toarray(), order=layout)
+        assert A.flags.owndata
+    before = A.copy()
+    S = None if kind is None else SketchOperator(
+        kind=kind, rows=400 if kind == "identity" else 120, cols=400, seed=3)
+    kw_factorization(A, sketch=S)
+    if layout == "csc":
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(before, part))
+    else:
+        assert np.array_equal(A, before)
+
+
+def _numpy_qr_path(blocks):
+    """Reference s and V with the QR taken by np.linalg.qr(mode="r"), which
+    works on its own copy: the leading blocks stacked and factored, the
+    later ones folded by dtpqrt, zero rows padded under a wide input."""
+    stacked, rows, R = [], 0, None
+    for block in blocks:
+        block = block.toarray() if sp.issparse(block) else np.array(block)
+        n = block.shape[1]
+        if R is not None:
+            R = scipy.linalg.lapack.dtpqrt(
+                0, min(lsbe.core._TPQRT_NB, n), R, block)[0]
+            continue
+        stacked.append(block)
+        rows += len(block)
+        if rows > n:
+            R = np.linalg.qr(np.vstack(stacked), mode="r")
+    if R is None:
+        R = np.vstack(stacked + [np.zeros((max(n - rows, 0), n))])
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    return s, Vt.T
+
+
+def check_in_place_qr_bit_identical():
+    rng = np.random.default_rng(0xC0FFEE)
+    dense = _sketch_pair(rng, 600, 140, sparse=False)
+    cases = [(dense, None),                                   # dense, C order
+             (sp.csc_matrix(dense), None),                    # CSC
+             (_sketch_pair(rng, 30, 50, sparse=False), None)]  # wide
+    for m, n, rows in [(900, 30, 700), (1000, 300, 900)]:     # streamed
+        A = _sketch_pair(rng, m, n, sparse=True)
+        cases.append((A, SketchOperator(kind="gaussian", rows=rows, cols=m,
+                                        seed=11)))
+    for A, S in cases:
+        kwf = kw_factorization(A, sketch=S)
+        s, V = _numpy_qr_path([A] if S is None else S.row_blocks(A))
+        assert np.array_equal(kwf.singular_values, s)
+        assert np.array_equal(kwf.right_vectors, V)
+
+
+def test_in_place_qr_bit_identical_to_numpy_qr():
+    # NumPy and SciPy link separate OpenBLAS builds.  With one BLAS thread
+    # their QRs agree bit for bit (so traces do not move); with more they
+    # split the work differently and may differ in the last bit, so the
+    # check runs in a child process pinned to one thread.
+    src = os.path.dirname(os.path.dirname(lsbe.core.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    subprocess.run([sys.executable, "-c", "import test_core; "
+                    "test_core.check_in_place_qr_bit_identical()"],
+                   env=env, check=True)
+
+
+@pytest.mark.parametrize("kind, rows", [("sparse_sign", 900),
+                                        ("gaussian", 900)])
+def test_kw_factorization_pair_matches_sequential_calls(rng, kind, rows):
+    A = _sketch_pair(rng, 2000, 150, sparse=True)
+    S = SketchOperator(kind=kind, rows=rows, cols=2000, seed=4)
+    before = threading.active_count()
+    pair = kw_factorization_pair(A, S)
+    assert threading.active_count() == before
+    for got, ref in zip(pair, (kw_factorization(A, sketch=S),
+                               kw_factorization(A))):
+        assert np.array_equal(got.singular_values, ref.singular_values)
+        assert np.array_equal(got.right_vectors, ref.right_vectors)
+
+
+@pytest.mark.parametrize("side", ["sketch", "exact"])
+def test_kw_factorization_pair_reraises(rng, monkeypatch, side):
+    A = _sketch_pair(rng, 300, 10, sparse=True)
+    S = SketchOperator(kind="sparse_sign", rows=60, cols=300, seed=1)
+    original = lsbe.core.kw_factorization
+
+    def failing(M, sketch=None):
+        if (sketch is None) == (side == "exact"):
+            raise RuntimeError(f"{side} side failed")
+        return original(M, sketch=sketch)
+
+    monkeypatch.setattr(lsbe.core, "kw_factorization", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{side} side failed"):
+        kw_factorization_pair(A, S)
+    assert threading.active_count() == before

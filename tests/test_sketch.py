@@ -49,7 +49,8 @@ def test_invalid_kind():
     ({"kind": "synthetic_eta", "rows": 6, "cols": 6,
       "subspace": np.eye(6, 1)}, "cols x"),
     ({"kind": "synthetic_eta", "rows": 6, "cols": 6,
-      "subspace": 2.0 * np.eye(6, 2)}, "orthonormal")])
+      "subspace": 2.0 * np.eye(6, 2)}, "orthonormal"),
+    ({"kind": "gaussian", "rows": 4, "cols": 4, "seed": -1}, "seed")])
 def test_invalid_sketch_parameters(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SketchOperator(**kwargs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import lsbe.solver
 from lsbe import (CountingOperator, SolverConfig, TraceRow, estimate_bounds,
                   kw_factorization, lsmr, mu_rank_one, recycle_policy)
 from lsbe.core import theta_scale
@@ -313,6 +314,27 @@ def test_true_mu_spends_no_counted_products(rng):
     assert [(r.matvec_count, r.rmatvec_count) for r in runs[True]] == \
         [(r.matvec_count, r.rmatvec_count) for r in runs[False]]
     assert all(math.isfinite(r.mu_true) for r in runs[True])
+
+
+def test_lsmr_takes_the_exact_factorization(rng, monkeypatch):
+    A, b = _ls_problem(rng)
+    A = sp.csc_matrix(A)
+    kwf, exact = _sketch_kwf(A), kw_factorization(A)
+    config = SolverConfig(estimate_every=4, refine_steps=1,
+                          compute_true_mu=True)
+    own = lsmr(A, b, config, kwf)[1].rows
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("lsmr factored A although exact was given")
+    monkeypatch.setattr(lsbe.solver, "kw_factorization", no_factorization)
+    given = lsmr(A, b, config, kwf, exact=exact)[1].rows
+    assert len(given) == len(own) > 1
+    for row, ref in zip(given, own):
+        assert np.array_equal([getattr(row, c) for c in TRACE_COLUMNS],
+                              [getattr(ref, c) for c in TRACE_COLUMNS],
+                              equal_nan=True)
+    with pytest.raises(ValueError, match="compute_true_mu"):
+        lsmr(A, b, SolverConfig(), kwf, exact=exact)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
