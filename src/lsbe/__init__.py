@@ -15,9 +15,8 @@ from .exact import (MuResult, mu_all_methods, mu_exact, mu_fixed_point,
 from .pencil import (HyperbolicCS, JSignature, PencilEigen, hyperbolic_cs,
                      j_pencil_eig, tr_minus)
 from .sketch import SketchOperator, apply_sketch, measure_distortion
-from .solver import (TRACE_COLUMNS, CountingOperator, SolverConfig,
-                     SolverTrace, TraceRow, estimate_bounds, lsmr,
-                     recycle_policy)
+from .solver import (TRACE_COLUMNS, SolverConfig, SolverTrace, TraceRow,
+                     estimate_bounds, lsmr, recycle_policy)
 
 __version__ = "0.1.0"
 
@@ -36,6 +35,6 @@ __all__ = [
     "brute_force_max",
     "SketchOperator", "apply_sketch", "measure_distortion",
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "CountingOperator", "lsmr", "recycle_policy", "estimate_bounds",
+    "lsmr", "recycle_policy", "estimate_bounds",
     "__version__",
 ]

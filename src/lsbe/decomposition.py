@@ -62,13 +62,25 @@ def decomposition_sum(A, Rtheta, P, Q) -> float:
     _check_finite(Rtheta, "Rtheta")
     _check_orthonormal(P, "P", 1e-8)
     _check_orthonormal(Q, "Q", 1e-8)
-    return float(np.linalg.norm(_summands(A @ P, Rtheta @ Q)))
+    return float(_feasible_values(A, Rtheta, P, Q))
+
+
+def _feasible_values(A, Rtheta, P, Q) -> np.ndarray:
+    """decomposition_sum over stacks P (..., n, k) and Q (..., d, k),
+    without its checks."""
+    return np.sqrt(_batch_objective(A @ P, Rtheta @ Q))
 
 
 def _summands(LP, RQ) -> np.ndarray:
-    """The rank-one values mu(LP[:, i], RQ[:, i]), one per column pair."""
-    return np.array([mu_rank_one(LP[:, i], RQ[:, i])
-                     for i in range(LP.shape[1])])
+    """The rank-one values mu(LP[..., i], RQ[..., i]) of column stacks
+    (..., m, k), as (..., k)."""
+    return mu_rank_one(np.swapaxes(LP, -1, -2), np.swapaxes(RQ, -1, -2))
+
+
+def _batch_objective(LP: np.ndarray, RQ: np.ndarray) -> np.ndarray:
+    """Sum of squared rank-one values of column stacks (..., m, k)."""
+    mu = _summands(LP, RQ)
+    return np.sum(mu * mu, axis=-1)
 
 
 def _oriented_pair(A, Rtheta):
@@ -137,22 +149,6 @@ def _check_count(value, name: str, least: int) -> None:
 
 def _givens_pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def _batch_objective(LP: np.ndarray, RQ: np.ndarray) -> np.ndarray:
-    """Sum of squared rank-one values per batch entry.
-
-    LP, RQ: batches (..., k', k) of A P and Rtheta Q column sets.
-    """
-    dots = np.einsum("...mi,...mi->...i", LP, RQ)
-    na2 = np.einsum("...mi,...mi->...i", LP, LP)
-    nr2 = np.einsum("...mi,...mi->...i", RQ, RQ)
-    plus = np.sqrt(np.maximum(na2 + 2.0 * dots + nr2, 0.0))
-    minus = np.sqrt(np.maximum(na2 - 2.0 * dots + nr2, 0.0))
-    den = plus + minus
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mu = np.where(den > 0.0, 2.0 * np.abs(dots) / den, 0.0)
-    return np.sum(mu * mu, axis=-1)
 
 
 def _rotate_rows(M: np.ndarray, i: int, j: int,

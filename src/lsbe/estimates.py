@@ -34,18 +34,25 @@ class RecycledDirection:
             raise ValueError("recycled direction must be unit-normalized")
 
 
-def mu_rank_one(a, r) -> float:
+def mu_rank_one(a, r):
     """Backward error of a pair of vectors: 2 |a'r| / (||a+r|| + ||a-r||).
 
     This is the cancellation-free form.  It is 0 when both vectors vanish,
     the limit there since mu(a, r) <= min(||a||, ||r||).  Any unit p gives
     the certified lower bound mu_rank_one(Ap, r_theta) <= mu(A, r_theta).
+
+    Vectors run along the last axis and leading axes broadcast: one pair
+    gives a float, stacks (..., m) give an array (...).  The vectors are
+    made contiguous first, so every value is bitwise what that pair alone
+    gets (BLAS dot rounds strided vectors differently).
     """
-    a = np.asarray(a, dtype=float).ravel()
-    r = np.asarray(r, dtype=float).ravel()
-    num = 2.0 * abs(float(a @ r))
-    den = float(np.linalg.norm(a + r) + np.linalg.norm(a - r))
-    return num / den if den > 0.0 else 0.0
+    a = np.ascontiguousarray(a, dtype=float)
+    r = np.ascontiguousarray(r, dtype=float)
+    plus, minus = a + r, a - r
+    num = 2.0 * np.abs(np.vecdot(a, r))
+    den = np.sqrt(np.vecdot(plus, plus)) + np.sqrt(np.vecdot(minus, minus))
+    mu = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def sketched_kw(kwf: KWFactorization, At_r, norm_r: float) -> float:

@@ -113,10 +113,6 @@ class SolverTrace:
     setup_rmatvecs: int = 0
 
 
-# The counting operator under the name the quick start uses.
-CountingOperator = MatrixOperator
-
-
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
     """Stable Givens rotation: returns (c, s, r) with c*a + s*b = r,
     -s*a + c*b = 0."""
@@ -450,5 +446,5 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
 __all__ = [
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "CountingOperator", "lsmr", "recycle_policy", "estimate_bounds",
+    "lsmr", "recycle_policy", "estimate_bounds",
 ]

@@ -9,8 +9,8 @@ from lsbe import (brute_force_max, decomposition_sum, mu_exact, mu_rank_one,
                   optimal_pq)
 from lsbe import decomposition
 from lsbe.decomposition import (_apply_rotation, _batch_objective,
-                                _givens_pairs, _line_search, _oriented_pair,
-                                _witness)
+                                _feasible_values, _givens_pairs, _line_search,
+                                _oriented_pair, _witness)
 from lsbe.errors import (ColumnsNotOrthonormal, DimensionMismatch,
                          NotFeasible, SizeGuard)
 
@@ -124,6 +124,48 @@ def test_decomposition_sum_rejects_bad_columns(rng):
     Q = random_orthonormal(rng, 2, 2)
     with pytest.raises(ColumnsNotOrthonormal):
         decomposition_sum(A, R, P, Q)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (4, 2), (2, 3), (8, 3)])
+def test_feasible_values_match_decomposition_sum(rng, n, d):
+    # The unchecked helper over stacks (S1, S2, n, k) and (S1, S2, d, k)
+    # gives, bit for bit, what the public call gets on each slice.
+    k, m = min(n, d), n + d + 4
+    A, R = rng.standard_normal((m, n)), rng.standard_normal((m, d))
+    P = np.linalg.qr(rng.standard_normal((3, 4, n, k)))[0]
+    Q = np.linalg.qr(rng.standard_normal((3, 4, d, k)))[0]
+    got = _feasible_values(A, R, P, Q)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, [[decomposition_sum(A, R, p, q)
+                                 for p, q in zip(ps, qs)]
+                                for ps, qs in zip(P, Q)])
+
+
+def _mp_objective(LP, RQ):
+    """sum_i mu^2(LP[:, i], RQ[:, i]) to 50 digits on the stored data."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for a, r in zip(LP.T, RQ.T):
+            am = [mpmath.mpf(float(v)) for v in a]
+            rm = [mpmath.mpf(float(v)) for v in r]
+            dot = mpmath.fsum(x * y for x, y in zip(am, rm))
+            plus = mpmath.fsum((x + y) ** 2 for x, y in zip(am, rm))
+            minus = mpmath.fsum((x - y) ** 2 for x, y in zip(am, rm))
+            total += (2 * abs(dot) / (mpmath.sqrt(plus)
+                                      + mpmath.sqrt(minus))) ** 2
+        return total
+
+
+def test_batch_objective_matches_extended_precision(rng):
+    # r = a (1 + 1e-9) + 1e-7 q: ||a - r|| is about 1e-7 ||a||, and forming
+    # ||a||^2 - 2 a'r + ||r||^2 instead would lose about 9 digits to it.
+    T, m, k = 8, 9, 2
+    LP = rng.standard_normal((T, m, k))
+    RQ = LP * (1.0 + 1e-9) + 1e-7 * rng.standard_normal((T, m, k))
+    for val, lp, rq in zip(_batch_objective(LP, RQ), LP, RQ):
+        ref = _mp_objective(lp, rq)
+        assert abs(val - ref) <= 1e-15 * ref, (val, float(ref))
 
 
 def test_brute_force_scalar_signs():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lsbe import (RecycledDirection, kw, kw_factorization, kw_multi,
 from lsbe.core import MatrixOperator
 from lsbe.errors import ShiftNotPD, ZeroDeflator
 from lsbe.sketch import SketchOperator, apply_sketch, measure_distortion
-from lsbe.solver import CountingOperator, estimate_bounds
+from lsbe.solver import estimate_bounds
 
 from conftest import random_orthogonal, random_orthonormal
 
@@ -43,6 +44,34 @@ def test_rank_one_both_zero():
 
 def test_rank_one_single_zero_is_fine():
     assert mu_rank_one([0.0, 0.0], [1.0, 2.0]) == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 40])
+def test_rank_one_stack_matches_single_pairs_bitwise(rng, m):
+    # Stacks (T, G, k, m) against r broadcast over G, contiguous and as the
+    # column-swapped view the decomposition passes: every value is the one
+    # its pair gets alone (m = 40 reaches BLAS dot's vectorized kernel).
+    T, G, k = 3, 5, 2
+    a = rng.standard_normal((T, G, k, m))
+    r = rng.standard_normal((T, 1, k, m))
+    # a[0, 1] meets r[0, 0] as zero pairs; a[1, 2, 0] = r[1, 0, 0] has
+    # ||a - r|| = 0.
+    a[0, 1], r[0, 0] = 0.0, 0.0
+    a[1, 2, 0] = r[1, 0, 0]
+    expected = np.array([[[mu_rank_one(a[t, g, i], r[t, 0, i])
+                           for i in range(k)] for g in range(G)]
+                         for t in range(T)])
+    assert np.all(expected[0, 1] == 0.0)
+    swapped = np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)),
+                          -1, -2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (a, swapped):
+            got = mu_rank_one(stack, r)
+            assert got.shape == (T, G, k)
+            assert np.array_equal(got, expected)
+    assert type(mu_rank_one(a[0, 0, 0], r[0, 0, 0])) is float
+    assert type(mu_rank_one(a[0, 1, 0], r[0, 0, 0])) is float
 
 
 # --- regularized-norm estimate ----------------------------------------------
@@ -286,7 +315,7 @@ def test_lb_recycled_matches_fresh_bitwise(rng):
     # direction recycled from this residual reproduces the fresh bound.
     A = rng.standard_normal((12, 4))
     r = rng.standard_normal(12)
-    ops = CountingOperator(A)
+    ops = MatrixOperator(A)
     kwf = kw_factorization(A)
     args = (ops, kwf, r, float(np.linalg.norm(r)), A.T @ r)
     values, fresh = estimate_bounds(*args)

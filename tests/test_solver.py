@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import lsbe.solver
-from lsbe import (CountingOperator, SolverConfig, TraceRow, estimate_bounds,
+from lsbe import (MatrixOperator, SolverConfig, TraceRow, estimate_bounds,
                   kw_factorization, lsmr, mu_rank_one, recycle_policy)
 from lsbe.core import theta_scale
 from lsbe.estimates import RecycledDirection
@@ -225,7 +225,7 @@ def test_estimate_bounds_reproduces_trace_row(rng):
                           theta=3.0)
     x, trace, _ = lsmr(A, b, config, _sketch_kwf(A))
     row = trace.rows[-1]
-    ops = CountingOperator(A)
+    ops = MatrixOperator(A)
     r = b - ops.matvec(x)
     cth = theta_scale(3.0, float(np.linalg.norm(x)))
     At_r = ops.rmatvec(r)
@@ -244,9 +244,9 @@ def test_estimate_bounds_reproduces_trace_row(rng):
 
 def test_estimate_bounds_resets_mu_est_above_sketch_limit(rng):
     A, r, kwf, norm_r, At_r = _bounds_args(rng)
-    base, fresh0 = estimate_bounds(CountingOperator(A), kwf, r, norm_r, At_r)
+    base, fresh0 = estimate_bounds(MatrixOperator(A), kwf, r, norm_r, At_r)
     huge = 10.0 * (norm_r + float(kwf.singular_values[0]))
-    values, fresh = estimate_bounds(CountingOperator(A), kwf, r, norm_r,
+    values, fresh = estimate_bounds(MatrixOperator(A), kwf, r, norm_r,
                                     At_r, mu_est=huge)
     assert fresh.mu_est_used == 0.0
     np.testing.assert_equal(values, base)
@@ -257,7 +257,7 @@ def test_estimate_bounds_zero_direction(rng):
     # A'r = 0: no direction, no products; the recycled bound still uses
     # the direction it is given.
     A, r, kwf, norm_r, _ = _bounds_args(rng)
-    ops = CountingOperator(A)
+    ops = MatrixOperator(A)
     values, fresh = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5))
     assert fresh is None and (ops.matvecs, ops.rmatvecs) == (0, 0)
     assert values["nu_sketched"] == values["lb_fresh"] == 0.0
