@@ -100,7 +100,8 @@ def _witness(left, right, P, Q, swapped: bool,
     if swapped:
         P, Q = Q, P
     return DecompositionWitness(
-        P=P, Q=Q, summands=summands, total=float(np.linalg.norm(summands)),
+        P=P, Q=Q, summands=summands,
+        total=float(np.sqrt(np.sum(summands * summands))),
         swapped=swapped, regularization_eps=eps)
 
 

@@ -139,6 +139,8 @@ def test_feasible_values_match_decomposition_sum(rng, n, d):
     assert np.array_equal(got, [[decomposition_sum(A, R, p, q)
                                  for p, q in zip(ps, qs)]
                                 for ps, qs in zip(P, Q)])
+    # A witness of the same (P, Q) sums its squares the same way.
+    assert _witness(A, R, P[1, 2], Q[1, 2], False).total == got[1, 2]
 
 
 def _mp_objective(LP, RQ):

@@ -74,6 +74,16 @@ def test_rank_one_stack_matches_single_pairs_bitwise(rng, m):
     assert type(mu_rank_one(a[0, 1, 0], r[0, 0, 0])) is float
 
 
+def test_rank_one_reads_column_vectors_as_pairs():
+    # Vectors run along the last axis, so an (m, 1) column pair is m pairs
+    # of length 1; raveled, it is one pair and gives one float.
+    a, r = np.array([[1.0], [2.0]]), np.array([[1.0], [-3.0]])
+    assert np.array_equal(mu_rank_one(a, r), [mu_rank_one([1.0], [1.0]),
+                                              mu_rank_one([2.0], [-3.0])])
+    assert mu_rank_one(a.ravel(), r.ravel()) == mu_rank_one([1.0, 2.0],
+                                                            [1.0, -3.0])
+
+
 # --- regularized-norm estimate ----------------------------------------------
 
 def test_kw_zero_when_atr_zero():
