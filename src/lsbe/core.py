@@ -204,21 +204,35 @@ def weighted_residual(problem: LSProblem, X) -> WeightedResidual:
 def compress_pair(A, Rtheta) -> CompressedPair:
     """Compress (A, Rtheta) to min(m, n+d) rows via a thin QR of [A, Rtheta].
 
-    When m <= n + d the pair is returned unchanged.  Rank-deficient inputs
-    pass through; downstream code copes via continuity.
+    When m <= n + d the pair is returned unchanged.  Otherwise A (dense or
+    sparse) and Rtheta are copied once into one Fortran-ordered work array,
+    which LAPACK's compact-WY QR dgeqrt factors in place; the triangle is
+    the upper triangle of its first n + d rows.  Rank-deficient inputs pass
+    through; downstream code copes via continuity.
     """
     Rtheta = _as_2d(Rtheta, "Rtheta")
-    if is_sparse(A):
-        A = A.toarray()
-    A = _as_2d(A, "A")
+    if not is_sparse(A):
+        A = _as_2d(A, "A")
     m, n = A.shape
     if Rtheta.shape[0] != m:
         raise DimensionMismatch("A and Rtheta must have the same row count")
     d = Rtheta.shape[1]
     normR = float(np.linalg.norm(Rtheta))
     if m <= n + d:
-        return CompressedPair(TA=A.copy(), TR=Rtheta.copy(), normR=normR)
-    T = np.linalg.qr(np.hstack([A, Rtheta]), mode="r")
+        TA = np.array(A.toarray() if is_sparse(A) else A, dtype=float,
+                      order="C")
+        return CompressedPair(TA=TA, TR=Rtheta.copy(), normR=normR)
+    work = np.empty((m, n + d), order="F")
+    if is_sparse(A):
+        A.astype(float, copy=False).toarray(out=work[:, :n])
+    else:
+        work[:, :n] = A
+    work[:, n:] = Rtheta
+    work, _, info = scipy.linalg.lapack.dgeqrt(
+        min(_TPQRT_NB, n + d), work, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrt failed (info {info})")
+    T = np.triu(work[:n + d])
     return CompressedPair(TA=T[:, :n], TR=T[:, n:], normR=normR)
 
 
@@ -300,8 +314,10 @@ def kw_factorization_pair(M, sketch) -> tuple[KWFactorization,
         return kw_factorization(M, sketch=sketch), exact.result()
 
 
-# Block size of the compact WY representation inside dtpqrt: the fastest
-# of 16-256 for folding 256 x 1019 blocks with one BLAS thread.
+# Block size of the compact WY representation inside dtpqrt and
+# compress_pair's dgeqrt: the fastest of 16-256 for folding 256 x 1019
+# blocks with one BLAS thread, and within 8% of the fastest of 32, 64 and
+# 128 for the 1500-3000 x 120-255 pairs of the exact routes.
 _TPQRT_NB = 64
 
 
@@ -309,6 +325,10 @@ def _triangular_factor(blocks) -> np.ndarray:
     """An n x n (or, while the rows number at most n, zero-padded) matrix T
     with T'T = M'M, for M given as a sequence of row blocks.  The blocks
     belong to the factorization, which overwrites them."""
+    # The first QR stays on geqrf, not compress_pair's dgeqrt: dgeqrt is
+    # faster on its own, but on the exact side of kw_factorization_pair it
+    # slowed the pair from 1.38 to 1.85 s on the 8899 x 1019 stand-in (one
+    # BLAS thread, 2-core host).
     stacked, rows, R = [], 0, None
     for block in blocks:
         if is_sparse(block):

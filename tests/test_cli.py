@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -119,6 +120,46 @@ def test_estimate_matches_recorded_output(capsys, flags, fixture):
     assert main(["estimate", TINY, *TINY_XB, *flags]) == 0
     with open(os.path.join(DATA, fixture)) as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def _mp_tiny_mu(theta):
+    """mu of the stored tiny instance to 50 digits: r_theta formed from the
+    stored A, x and b, then mu = min(||r_theta||, sigma_min([A,
+    ||r_theta|| (I - r_theta r_theta+)]))."""
+    mpmath = pytest.importorskip("mpmath")
+    A = load_matrix(TINY).toarray()
+    x, b = (load_dense(path) for path in TINY_XB)
+    m, n = A.shape
+    with mpmath.workdps(50):
+        Am = [[mpmath.mpf(float(v)) for v in row] for row in A]
+        xm = [mpmath.mpf(float(v)) for v in x]
+        nx2 = mpmath.fsum(v * v for v in xm)
+        c = (1 / mpmath.sqrt(nx2) if math.isinf(theta)
+             else theta / mpmath.sqrt(1 + theta ** 2 * nx2))
+        r = [c * (mpmath.mpf(float(b[i]))
+                  - mpmath.fsum(Am[i][j] * xm[j] for j in range(n)))
+             for i in range(m)]
+        nr2 = mpmath.fsum(v * v for v in r)
+        nr = mpmath.sqrt(nr2)
+        W = mpmath.matrix([Am[i] + [nr * ((i == j) - r[i] * r[j] / nr2)
+                                    for j in range(m)] for i in range(m)])
+        return float(min(nr, min(mpmath.svd_r(W, compute_uv=False))))
+
+
+@pytest.mark.parametrize("fixture, theta", [
+    ("estimate_tiny_default.txt", math.inf),
+    ("estimate_tiny_theta2.txt", 2.0),
+    ("estimate_tiny_muest05.txt", math.inf)])
+def test_recorded_exact_routes_match_extended_precision(fixture, theta):
+    # Each recorded exact-route value is within 8 ulps of mu of the stored
+    # data: the values recorded with the geqrf and with the dgeqrt pair
+    # compression sit within 7 and 6 ulps.
+    ref = _mp_tiny_mu(theta)
+    with open(os.path.join(DATA, fixture)) as fh:
+        values = _parse_report(fh.read())
+    for route in ("eig", "sigma-min", "fixed-point", "gevp"):
+        mu = values[f"mu[{route}]"]
+        assert abs(mu - ref) <= 8 * np.spacing(ref), (route, mu, ref)
 
 
 def test_estimate_multiple_rhs(tmp_path, capsys, rng):

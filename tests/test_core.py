@@ -21,6 +21,8 @@ from lsbe.pencil import tr_minus
 
 from conftest import random_orthogonal
 
+EPS = np.finfo(float).eps
+
 
 def test_weighted_residual_single_rhs_finite_theta():
     problem = LSProblem(np.array([[1.0]]), np.array([2.0]), theta=1.0)
@@ -136,6 +138,59 @@ def test_compress_idempotent(rng):
     T1 = np.hstack([cp.TA, cp.TR])
     T2 = np.hstack([cp2.TA, cp2.TR])
     assert np.allclose(T1.T @ T1, T2.T @ T2, rtol=1e-12, atol=1e-12)
+
+
+def _pair(rng, m, n, d, layout):
+    A = rng.standard_normal((m, n)) * np.logspace(0, -3, n)
+    R = np.array(rng.standard_normal((m, d)), order="F" if layout == "F"
+                 else "C")
+    if layout == "csc":
+        return sp.csc_matrix(A), R
+    return np.array(A, order=layout), R
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csc"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n,rows", [(5, "n+d+1"), (5, "3(n+d)"),
+                                    (5, "40n"), (70, "n+d+1"),
+                                    (70, "20n")])
+def test_compress_pair_preserves_gram(rng, layout, d, n, rows):
+    # Householder QR keeps T'T = M'M, M = [A, R], to c eps ||M||_F^2 in
+    # every entry.  c = 8: this grid measured at most 1.0 against a
+    # long-double Gram of the stored data.  n = 70 spans two dgeqrt blocks.
+    m = {"n+d+1": n + d + 1, "3(n+d)": 3 * (n + d), "40n": 40 * n,
+         "20n": 20 * n}[rows]
+    A, R = _pair(rng, m, n, d, layout)
+    A_before, R_before = A.copy(), R.copy()
+    cp = compress_pair(A, R)
+    assert cp.TA.shape == (n + d, n) and cp.TR.shape == (n + d, d)
+    # Upper trapezoidal: TA[i, j] = 0 for i > j, TR[i, j] = 0 for i > n + j.
+    assert np.array_equal(cp.TA, np.triu(cp.TA))
+    assert np.array_equal(cp.TR, np.triu(cp.TR, -n))
+    M = np.hstack([A.toarray() if sp.issparse(A) else A, R])
+    T = np.hstack([cp.TA, cp.TR]).astype(np.longdouble)
+    Ml = M.astype(np.longdouble)
+    err = float(np.abs(T.T @ T - Ml.T @ Ml).max())
+    assert err <= 8.0 * EPS * float(np.linalg.norm(M)) ** 2
+    assert cp.normR == float(np.linalg.norm(R))
+    if sp.issparse(A):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(A_before, part))
+    else:
+        assert np.array_equal(A, A_before)
+    assert np.array_equal(R, R_before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csc"])
+@pytest.mark.parametrize("m,n,d", [(3, 2, 1), (5, 2, 3), (4, 1, 4)])
+def test_compress_pair_passthrough_bit_identical(rng, layout, m, n, d):
+    # m <= n + d: the pair comes back as C-ordered copies, bit for bit.
+    A, R = _pair(rng, m, n, d, layout)
+    dense = A.toarray() if sp.issparse(A) else A
+    cp = compress_pair(A, R)
+    for got, want in ((cp.TA, dense), (cp.TR, R)):
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+        assert not np.shares_memory(got, want)
 
 
 @settings(max_examples=20, deadline=None)
