@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (LSProblem, MatrixOperator, kw_factorization_pair,
-                   weighted_residual)
+from .core import LSProblem, MatrixOperator, weighted_residual
 from .decomposition import _feasible_values, brute_force_max, optimal_pq
 from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
 from .sketch import SketchOperator, measure_distortion, sketch_rows
-from .solver import SolverConfig, _power_spectral_norm, lsmr
+from .solver import (SolverConfig, _lsmr_beside_factorization,
+                     _power_spectral_norm)
 
 GL7D12_SHAPE = (8899, 1019)
 GL7D12_DEFAULT_PATHS = ("data/GL7d12.mtx", "GL7d12.mtx",
@@ -339,16 +339,12 @@ def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
 
 
 def _trace_run(A, b, factor: int | float, seed: int, config: SolverConfig):
-    """lsmr on (A, b) with a Gaussian sketch of factor * n rows; with
-    compute_true_mu, A is factored beside its sketch."""
+    """lsmr on (A, b) with a Gaussian sketch of factor * n rows, started
+    while the sketch (and, with compute_true_mu, A) is factored."""
     m, n = A.shape
     S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
                        seed=seed)
-    if config.compute_true_mu:
-        kwf, exact = kw_factorization_pair(A, S)
-    else:
-        kwf, exact = kw_factorization(A, sketch=S), None
-    return lsmr(A, b, config, kwf, exact=exact)
+    return _lsmr_beside_factorization(A, b, config, S)
 
 
 def criterion_trace_soundness(seed: int = 0) -> CriterionResult:

@@ -24,12 +24,13 @@ from .core import (LSProblem, MatrixOperator, kw_factorization_pair,
                    weighted_residual)
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
-from .estimates import kw_factorization, kw_multi, sketched_kw
+from .estimates import kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, sketch_rows
-from .solver import SolverConfig, estimate_bounds, lsmr
-from .solver import _power_spectral_norm
+from .solver import SolverConfig, estimate_bounds
+from .solver import (_checked_rhs, _lsmr_beside_factorization,
+                     _power_spectral_norm)
 
 
 def _checked(name: str, convert, ok, rule: str):
@@ -154,21 +155,22 @@ def cmd_solve(args) -> int:
         print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
               "matrix GL7d12")
 
-    norm_A_2 = config.norm_A_2 or _power_spectral_norm(MatrixOperator(A))
+    power = MatrixOperator(A)
+    norm_A_2 = config.norm_A_2 or _power_spectral_norm(power)
     if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
         config = dataclasses.replace(config, norm_A_2=norm_A_2)
 
     if args.rhs is not None:
-        b = load_dense(args.rhs).ravel()
+        # Checked here, so a bad file fails before anything is factored.
+        b = _checked_rhs(load_dense(args.rhs), m)
     else:
         b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
 
     S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
-    if config.compute_true_mu:
-        kwf, exact = kw_factorization_pair(A, S)
-    else:
-        kwf, exact = kw_factorization(A, sketch=S), None
-    x, trace, stop_reason = lsmr(A, b, config, kwf, exact=exact)
+    x, trace, stop_reason = _lsmr_beside_factorization(A, b, config, S)
+    # lsmr was handed the norm estimate, so its products were spent here.
+    trace.setup_matvecs += power.matvecs
+    trace.setup_rmatvecs += power.rmatvecs
 
     write_trace_csv(trace.rows, args.out)
     manifest = {
@@ -184,6 +186,9 @@ def cmd_solve(args) -> int:
         "solver": {k: (str(v) if isinstance(v, float)
                        and not math.isfinite(v) else v)
                    for k, v in dataclasses.asdict(config).items()},
+        "run": {name: getattr(trace, name) for name in (
+            "stop_reason", "iterations", "setup_matvecs", "setup_rmatvecs",
+            "factored_at_iter")},
         "out": args.out,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

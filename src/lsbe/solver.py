@@ -10,13 +10,14 @@ Every product with A (including those spent on estimation) is counted.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .core import (KWFactorization, MatrixOperator, is_sparse,
-                   kw_factorization, theta_scale)
+                   kw_factorization, kw_factorization_pair, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
@@ -98,7 +99,11 @@ class SolverTrace:
 
     est_norm_r / est_norm_Atr hold the solver's internal recurrence
     estimates for every iteration (not only traced ones), for drift
-    auditing against the explicit values in the rows.
+    auditing against the explicit values in the rows.  setup_matvecs and
+    setup_rmatvecs count the products spent before the first iteration
+    (the power-iteration norm estimate).  factored_at_iter is the
+    iteration the recurrence had reached when factorizations passed as
+    futures landed, 0 when they were passed in ready.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -111,6 +116,7 @@ class SolverTrace:
     iterations: int = 0
     setup_matvecs: int = 0
     setup_rmatvecs: int = 0
+    factored_at_iter: int = 0
 
 
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
@@ -253,10 +259,12 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     return values, fresh
 
 
-def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
+def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu, counts):
     """Refresh the residual, evaluate the estimator suite, and build a
-    trace row.  Returns (row, direction), where direction may have been
-    replaced per the recycle policy."""
+    trace row.  counts is (matvecs, rmatvecs) spent before the row's own
+    products, which the row's counts add to.  Returns (row, direction),
+    where direction may have been replaced per the recycle policy."""
+    mv0, rmv0 = ops.matvecs, ops.rmatvecs
     r = b - ops.matvec(x)
     norm_r = float(np.linalg.norm(r))
     At_r = ops.rmatvec(r)
@@ -278,8 +286,8 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
 
     row = TraceRow(
         iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
-        mu_true=mu_t, matvec_count=ops.matvecs, rmatvec_count=ops.rmatvecs,
-        **values)
+        mu_true=mu_t, matvec_count=counts[0] + ops.matvecs - mv0,
+        rmatvec_count=counts[1] + ops.rmatvecs - rmv0, **values)
 
     if fresh is not None and (direction is None
                               or recycle_policy(row, config) == "recompute"):
@@ -287,17 +295,109 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
     return row, direction
 
 
+def _checked_rhs(b, m: int) -> np.ndarray:
+    """b as a flat float array, after lsmr's check that it has m finite
+    entries (lsbe solve runs it before it factors anything)."""
+    b = np.asarray(b, dtype=float).ravel()
+    if b.shape[0] != m:
+        raise DimensionMismatch(f"b must have {m} entries")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
+    return b
+
+
+class _Rows:
+    """The trace rows of one lsmr run, evaluated in iteration order once
+    the factorizations behind them are at hand.
+
+    kwf and exact may be Futures.  While one is pending, a due row keeps
+    its iterate (the recurrence rebinds x every step, so this is no copy)
+    and the recurrence's product counts, for at most n rows, the memory
+    of one n x n factor.  At that cap, and at every row when stop_when is
+    given (a stop cannot be deferred), the recurrence waits.  A row's
+    counts are the recurrence's at its iteration plus every product the
+    estimator suite has spent up to and including the row: what one
+    shared operator counts when each row is evaluated as it falls due.
+    """
+
+    def __init__(self, ops, b, config, kwf, exact, stop_when, trace):
+        self.ops, self.b, self.config = ops, b, config
+        self.kwf, self.exact = kwf, exact
+        self.stop_when, self.trace = stop_when, trace
+        self.pending = [f for f in (kwf, exact) if isinstance(f, Future)]
+        self.true_mu = None
+        if config.compute_true_mu and not isinstance(exact, Future):
+            self.true_mu = _TrueMu(ops.matrix, exact)
+        self.kept = []  # (itn, x, matvecs, rmatvecs) of unevaluated rows
+        self.spent = (0, 0)  # products of the estimator suite so far
+        self.direction: RecycledDirection | None = None
+
+    def poll(self, itn: int) -> None:
+        """Between iterations while a factorization is pending: a failed
+        one raises its exception; once all have landed, the kept rows are
+        evaluated."""
+        landed = [f for f in self.pending if f.done()]
+        for f in landed:
+            f.result()
+        if len(landed) == len(self.pending):
+            self._land(itn)
+
+    def due(self, itn: int, x: np.ndarray) -> bool:
+        """Take the row due at iteration itn; True when stop_when stops the
+        run."""
+        ops = self.ops
+        self.kept.append((itn, x, ops.matvecs - self.spent[0],
+                          ops.rmatvecs - self.spent[1]))
+        if not self.pending:
+            self._evaluate_kept()
+        elif self.stop_when is not None or len(self.kept) >= ops.shape[1]:
+            self._land(itn)
+        return self.stop_when is not None and self.stop_when(
+            self.trace.rows[-1])
+
+    def finish(self, itn: int) -> None:
+        """Wait for the pending factorizations and evaluate every kept
+        row."""
+        if self.pending:
+            self._land(itn)
+
+    def _land(self, itn: int) -> None:
+        if isinstance(self.kwf, Future):
+            self.kwf = self.kwf.result()
+        if isinstance(self.exact, Future):
+            self.true_mu = _TrueMu(self.ops.matrix, self.exact.result())
+        self.pending = []
+        self.trace.factored_at_iter = itn
+        self._evaluate_kept()
+
+    def _evaluate_kept(self) -> None:
+        for itn, x, mv, rmv in self.kept:
+            row, self.direction = _estimate_row(
+                itn, self.ops, self.b, x, self.config, self.kwf,
+                self.direction, self.true_mu,
+                (mv + self.spent[0], rmv + self.spent[1]))
+            self.trace.rows.append(row)
+            self.spent = (row.matvec_count - mv, row.rmatvec_count - rmv)
+        self.kept.clear()
+
+
 def lsmr(A, b, config: SolverConfig | None = None,
-         kwf: KWFactorization | None = None,
+         kwf: KWFactorization | Future | None = None,
          stop_when: Callable[[TraceRow], bool] | None = None,
-         exact: KWFactorization | None = None):
+         exact: KWFactorization | Future | None = None):
     """Minimize ||Ax - b|| by LSMR, tracing estimates along the way.
 
     kwf is the retained sketch factorization behind the estimates (None
     leaves the estimator columns NaN); stop_when, if given, sees every
     trace row and stops the run when it returns True; exact, only with
     config.compute_true_mu, is kw_factorization(A) behind mu_true (None
-    factors A at set-up).  Returns
+    factors A at set-up).  kwf and exact may also be
+    concurrent.futures.Future objects that another thread resolves: while
+    they are pending the recurrence runs on, keeping up to n due iterates
+    (then it waits; with stop_when it waits at the first row), and the
+    rows come out bit for bit as the ready factorizations give them.  A
+    future that fails stops the run at its next iteration with its
+    exception, and lsmr returns only once every future has landed.  Returns
     (x, trace, stop_reason) with stop_reason one of "converged" (the
     ||A'r|| test fired), "estimator" (stop_when fired), "breakdown" (the
     bidiagonalization produced a zero vector first), or "max_iters".
@@ -305,11 +405,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     config = config or SolverConfig()
     ops = MatrixOperator(A)
     m, n = ops.shape
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != m:
-        raise DimensionMismatch(f"b must have {m} entries")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b contains non-finite entries")
+    b = _checked_rhs(b, m)
 
     norm_A_fro = _frobenius_norm(ops.matrix)
     if config.compute_true_mu and norm_A_fro is None:
@@ -323,15 +419,16 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
         config = replace(config, norm_A_2=norm_A_2)
     max_iters = config.max_iters or 5 * min(m, n)
-    true_mu = _TrueMu(ops.matrix, exact) if config.compute_true_mu else None
 
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
                         norm_A_fro_source=fro_source, norm_A_2=norm_A_2,
                         setup_matvecs=setup_mv, setup_rmatvecs=setup_rmv)
+    rows = _Rows(ops, b, config, kwf, exact, stop_when, trace)
     x = np.zeros(n)
 
     normb = float(np.linalg.norm(b))
     if normb == 0.0:
+        rows.finish(0)
         trace.stop_reason = "converged"
         return x, trace, "converged"
 
@@ -341,6 +438,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     alpha = float(np.linalg.norm(v))
     if alpha == 0.0:
         # A'b = 0: the zero vector already satisfies the normal equations.
+        rows.finish(0)
         trace.stop_reason = "converged"
         return x, trace, "converged"
     v = v / alpha
@@ -361,10 +459,11 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
     normA2 = alpha * alpha
     stop_reason = ""
-    direction: RecycledDirection | None = None
 
     itn = 0
     while itn < max_iters:
+        if rows.pending:
+            rows.poll(itn)
         itn += 1
         u = ops.matvec(v) - alpha * u
         beta = float(np.linalg.norm(u))
@@ -423,13 +522,9 @@ def lsmr(A, b, config: SolverConfig | None = None,
         converged = normar_est <= config.atol * normA_stop * normr_est
         last = converged or zerovec or itn == max_iters
 
-        if itn % config.estimate_every == 0 or last:
-            row, direction = _estimate_row(
-                itn, ops, b, x, config, kwf, direction, true_mu)
-            trace.rows.append(row)
-            if stop_when is not None and stop_when(row):
-                stop_reason = "estimator"
-                break
+        if (itn % config.estimate_every == 0 or last) and rows.due(itn, x):
+            stop_reason = "estimator"
+            break
         if converged:
             stop_reason = "converged"
             break
@@ -437,11 +532,49 @@ def lsmr(A, b, config: SolverConfig | None = None,
             stop_reason = "breakdown"
             break
 
+    rows.finish(itn)
     if not stop_reason:
         stop_reason = "max_iters"
     trace.stop_reason = stop_reason
     trace.iterations = itn
     return x, trace, stop_reason
+
+
+def _lsmr_beside_factorization(A, b, config: SolverConfig, sketch):
+    """lsmr(A, b, config, kwf, exact=exact) with kwf the factorization of
+    the sketch S A and, with config.compute_true_mu, exact that of A (both
+    from kw_factorization_pair), the recurrence running while they are
+    computed.
+
+    lsmr starts on one helper thread and the calling thread factors; the
+    results reach lsmr as futures.  The factorizations stay on the calling
+    thread: on the 8899 x 1019 stand-in with a 6n Gaussian sketch,
+    factoring on a pool thread raised the peak resident set of `lsbe
+    solve` from 161 to 169 MB, while running lsmr on one adds only the
+    kept iterates (500 of 8 KB there).  If factoring fails or is
+    interrupted, the exception is set on every pending future, which
+    stops lsmr at its next iteration; the helper is joined and the
+    exception re-raised.  Once the factorizations have landed nothing
+    can stop lsmr early, so an interrupt then waits for the run to end.
+    """
+    kwf = Future()
+    exact = Future() if config.compute_true_mu else None
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="lsbe-lsmr") as helper:
+        run = helper.submit(lsmr, A, b, config, kwf, exact=exact)
+        try:
+            if exact is None:
+                kwf.set_result(kw_factorization(A, sketch=sketch))
+            else:
+                sketched, whole = kw_factorization_pair(A, sketch)
+                exact.set_result(whole)
+                kwf.set_result(sketched)
+        except BaseException as exc:
+            for future in (kwf, exact):
+                if future is not None and not future.done():
+                    future.set_exception(exc)
+            raise
+        return run.result()
 
 
 __all__ = [

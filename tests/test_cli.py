@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ import scipy.sparse as sp
 import lsbe.cli
 import lsbe.core
 import lsbe.exact
+import lsbe.solver
 from lsbe import (mu_all_methods, mu_exact, weighted_residual, LSProblem,
                   kw_multi)
 from lsbe.cli import main
 from lsbe.fileio import (TRACE_SCHEMA, load_dense, load_matrix,
                          read_trace_csv, trace_schema_of, write_trace_csv)
-from lsbe.solver import TRACE_COLUMNS
+from lsbe.solver import TRACE_COLUMNS, _power_spectral_norm
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY = os.path.join(DATA, "tiny_20x5.mtx")
@@ -295,6 +297,68 @@ def test_solve_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+@pytest.mark.parametrize("values", [np.ones(19), np.r_[np.ones(19), np.nan]],
+                         ids=["wrong-length", "non-finite"])
+@pytest.mark.parametrize("true_mu", ["on", "off"])
+def test_solve_rejects_rhs_before_factoring(tmp_path, capsys, monkeypatch,
+                                            values, true_mu):
+    rhs = tmp_path / "b.txt"
+    np.savetxt(rhs, values)
+
+    def fail(*args, **kwargs):
+        pytest.fail("lsbe solve factored before it checked its input")
+    monkeypatch.setattr(lsbe.core, "kw_factorization", fail)
+    monkeypatch.setattr(lsbe.solver, "kw_factorization", fail)
+    monkeypatch.setattr(lsbe.solver, "kw_factorization_pair", fail)
+    assert main(["solve", TINY, "--rhs", str(rhs), "--true-mu", true_mu,
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert "error: b " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("true_mu", ["on", "off"])
+def test_solve_factorization_error_exits_2(tmp_path, capsys, monkeypatch,
+                                           true_mu):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(lsbe.core, "kw_factorization", singular)
+    monkeypatch.setattr(lsbe.solver, "kw_factorization", singular)
+    assert main(["solve", TINY, "--true-mu", true_mu,
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert "SVD did not converge" in capsys.readouterr().err
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("lsbe-") and t.is_alive()]
+
+
+@pytest.mark.parametrize("flags", [[], ["--norm-a2", "2.5"]],
+                         ids=["power-norm", "given-norm"])
+def test_solve_manifest_reports_the_run(tmp_path, monkeypatch, flags):
+    runs = []
+
+    def kept(*args, **kwargs):
+        runs.append(lsmr(*args, **kwargs))
+        return runs[-1]
+    lsmr = lsbe.solver.lsmr
+    monkeypatch.setattr(lsbe.solver, "lsmr", kept)
+    out = tmp_path / "t.csv"
+    assert main(["solve", TINY, "--true-mu", "on", "--out", str(out),
+                 *flags]) == 0
+    [(_, trace, stop_reason)] = runs
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["run"] == {
+        "stop_reason": stop_reason, "iterations": trace.iterations,
+        "setup_matvecs": trace.setup_matvecs,
+        "setup_rmatvecs": trace.setup_rmatvecs,
+        "factored_at_iter": trace.factored_at_iter}
+    assert 0 <= trace.factored_at_iter <= trace.iterations
+    # The power-iteration norm estimate, unless --norm-a2 supplies it.
+    ops = lsbe.core.MatrixOperator(load_matrix(TINY))
+    if not flags:
+        _power_spectral_norm(ops)
+    assert (trace.setup_matvecs, trace.setup_rmatvecs) == (ops.matvecs,
+                                                           ops.rmatvecs)
 
 
 @pytest.mark.parametrize("factor", ["1.5", "6", "16"])

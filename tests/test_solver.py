@@ -1,10 +1,14 @@
 import math
 import os
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import lsbe.core
 import lsbe.solver
 from lsbe import (MatrixOperator, SolverConfig, TraceRow, estimate_bounds,
                   kw_factorization, lsmr, mu_rank_one, recycle_policy)
@@ -450,3 +454,184 @@ def test_trace_regression_sparse_gaussian_sketch():
             else:
                 assert g == pytest.approx(w, rel=1e-12, abs=0), (got.iter, col)
 
+
+def _graded_problem(rng, m=300, n=16):
+    # Graded columns, so LSMR runs some 80 iterations.
+    A = sp.csc_matrix(rng.standard_normal((m, n)) * np.logspace(0, -6, n))
+    return A, rng.standard_normal(m)
+
+
+def _assert_same_run(got, ref):
+    (x, trace, stop), (x_ref, trace_ref, stop_ref) = got, ref
+    assert (stop, trace.iterations) == (stop_ref, trace_ref.iterations)
+    assert np.array_equal(x, x_ref)
+    assert len(trace.rows) == len(trace_ref.rows) > 0
+    for row, ref_row in zip(trace.rows, trace_ref.rows):
+        assert np.array_equal([getattr(row, c) for c in TRACE_COLUMNS],
+                              [getattr(ref_row, c) for c in TRACE_COLUMNS],
+                              equal_nan=True)
+
+
+def _gate(threshold, reached, made):
+    """An operator class for lsmr that sets `reached` once `threshold`
+    matvecs are done (before the factorizations land, one per iteration)
+    and appends each instance to `made`."""
+    class Gate(MatrixOperator):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append(self)
+
+        def matvec(self, v):
+            out = super().matvec(v)
+            if self.matvecs >= threshold:
+                reached.set()
+            return out
+    return Gate
+
+
+def _with_stop(stop_when):
+    """lsmr with stop_when bound, for the helper, which passes none."""
+    def run(*args, **kwargs):
+        return lsmr(*args, stop_when=stop_when, **kwargs)
+    return run
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("true_mu", [False, True])
+@pytest.mark.parametrize("stop", [False, True])
+def test_rows_match_when_factorizations_land_late(rng, monkeypatch, every,
+                                                  true_mu, stop):
+    # The factorizations land only after the recurrence has kept rows (or,
+    # with stop_when, reached its first row, where it must wait): the run
+    # must equal the one given ready factorizations, counts included.
+    A, b = _graded_problem(rng)
+    S = SketchOperator(kind="gaussian", rows=96, cols=A.shape[0], seed=4)
+    config = SolverConfig(estimate_every=every, refine_steps=1,
+                          compute_true_mu=true_mu, norm_A_2=1.0)
+    kwf = kw_factorization(apply_sketch(S, A))
+    exact = kw_factorization(A) if true_mu else None
+    stop_when = ((lambda row: row.iter >= 5 * every) if stop else None)
+    ref = lsmr(A, b, config, kwf, stop_when, exact=exact)
+
+    reached = threading.Event()
+    threshold = every if stop else 3 * every + 1
+    monkeypatch.setattr(lsbe.solver, "MatrixOperator",
+                        _gate(threshold, reached, []))
+
+    def gated(fn):
+        def wait_then(*args, **kwargs):
+            assert reached.wait(timeout=60)
+            return fn(*args, **kwargs)
+        return wait_then
+    monkeypatch.setattr(lsbe.solver, "kw_factorization",
+                        gated(lsbe.solver.kw_factorization))
+    monkeypatch.setattr(lsbe.solver, "kw_factorization_pair",
+                        gated(lsbe.solver.kw_factorization_pair))
+    monkeypatch.setattr(lsbe.solver, "lsmr", _with_stop(stop_when))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = lsbe.solver._lsmr_beside_factorization(A, b, config, S)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_run(got, ref)
+    landed = got[1].factored_at_iter
+    if stop:
+        assert landed == every  # the first row waited
+    else:
+        assert threshold <= landed <= got[1].iterations
+
+
+class _WatchedFuture(Future):
+    """A future that flags when someone waits on it before it is done."""
+
+    def __init__(self):
+        super().__init__()
+        self.waited = threading.Event()
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.waited.set()
+        return super().result(timeout)
+
+
+def test_recurrence_keeps_at_most_n_iterates(rng):
+    # n = 5 columns and a row every iteration: the recurrence keeps five
+    # iterates, then waits for the factorization, which lands only then.
+    A = rng.standard_normal((60, 5)) * np.logspace(0, -3, 5)
+    b = rng.standard_normal(60)
+    config = SolverConfig(estimate_every=1, refine_steps=1)
+    kwf = _sketch_kwf(A)
+    ref = lsmr(A, b, config, kwf)
+    assert len(ref[1].rows) > 5
+    future = _WatchedFuture()
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="cap-test") as pool:
+        run = pool.submit(lsmr, A, b, config, future)
+        assert future.waited.wait(timeout=60)
+        future.set_result(kwf)
+        got = run.result(timeout=60)
+    _assert_same_run(got, ref)
+    assert got[1].factored_at_iter == 5
+
+
+def test_ready_factorizations_land_at_iteration_zero(rng):
+    A, b = _ls_problem(rng)
+    kwf = _sketch_kwf(A)
+    future = Future()
+    future.set_result(kwf)
+    config = SolverConfig(estimate_every=3)
+    ref = lsmr(A, b, config, kwf)
+    got = lsmr(A, b, config, future)
+    _assert_same_run(got, ref)
+    assert got[1].factored_at_iter == ref[1].factored_at_iter == 0
+
+
+def _lsbe_threads_end():
+    for thread in threading.enumerate():
+        if thread.name.startswith("lsbe-"):
+            thread.join(timeout=30)
+            assert not thread.is_alive(), thread.name
+
+
+@pytest.mark.parametrize("true_mu", [False, True])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, KeyboardInterrupt])
+def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
+                                                   error):
+    # No row falls due before the last iteration, and on these graded
+    # columns the recurrence runs all 10^5 iterations (its ||A'r|| estimate
+    # would underflow to 0 only after some 10^6), so only the per-step
+    # check of the failed future can end it early; the factorization's own
+    # exception comes back once the helper is joined.
+    A = sp.csc_matrix(rng.standard_normal((400, 100))
+                      * np.logspace(0, -10, 100))
+    b = rng.standard_normal(400)
+    S = SketchOperator(kind="gaussian", rows=200, cols=400, seed=4)
+    config = SolverConfig(atol=1e-300, max_iters=10 ** 5,
+                          estimate_every=10 ** 5, compute_true_mu=true_mu,
+                          norm_A_2=1.0)
+    reached = threading.Event()
+    made = []
+    monkeypatch.setattr(lsbe.solver, "MatrixOperator",
+                        _gate(50, reached, made))
+    raised = error("injected")
+
+    def failing(*args, **kwargs):
+        assert reached.wait(timeout=60)
+        raise raised
+    monkeypatch.setattr(lsbe.core, "kw_factorization", failing)
+    monkeypatch.setattr(lsbe.solver, "kw_factorization", failing)
+    with pytest.raises(error) as caught:
+        lsbe.solver._lsmr_beside_factorization(A, b, config, S)
+    assert caught.value is raised
+    _lsbe_threads_end()
+    [ops] = made
+    assert 50 <= ops.matvecs < 10 ** 4
+
+
+def test_failed_future_is_raised_by_lsmr(rng):
+    A, b = _ls_problem(rng)
+    future = Future()
+    future.set_exception(np.linalg.LinAlgError("injected"))
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        lsmr(A, b, SolverConfig(estimate_every=5), future)
