@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (KWFactorization, MatrixOperator, is_sparse,
-                   kw_factorization, kw_factorization_pair, theta_scale)
+                   kw_factorization, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
@@ -36,7 +36,8 @@ class SolverConfig:
     exact backward error to each row (A is densified only while factored
     at set-up, keeping s and V, and lsmr takes that factorization as
     exact= when the caller already has it, as `lsbe solve --true-mu on`
-    does from kw_factorization_pair; each row costs O(nnz + n^2));
+    does, from a future computed beside the recurrence; each row costs
+    O(nnz + n^2));
     theta is the residual weighting, math.inf meaning normalization by
     ||x||.  norm_A_2 may supply a known spectral norm, otherwise it is
     estimated by power iteration at setup.
@@ -261,10 +262,10 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
 
 def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu, counts):
     """Refresh the residual, evaluate the estimator suite, and build a
-    trace row.  counts is (matvecs, rmatvecs) spent before the row's own
-    products, which the row's counts add to.  Returns (row, direction),
-    where direction may have been replaced per the recycle policy."""
-    mv0, rmv0 = ops.matvecs, ops.rmatvecs
+    trace row.  counts is the recurrence's (matvecs, rmatvecs) at itn, and
+    the row's counts add every product ops, the estimator suite's own
+    operator, has taken.  Returns (row, direction), where direction may
+    have been replaced per the recycle policy."""
     r = b - ops.matvec(x)
     norm_r = float(np.linalg.norm(r))
     At_r = ops.rmatvec(r)
@@ -286,8 +287,8 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu, counts):
 
     row = TraceRow(
         iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
-        mu_true=mu_t, matvec_count=counts[0] + ops.matvecs - mv0,
-        rmatvec_count=counts[1] + ops.rmatvecs - rmv0, **values)
+        mu_true=mu_t, matvec_count=counts[0] + ops.matvecs,
+        rmatvec_count=counts[1] + ops.rmatvecs, **values)
 
     if fresh is not None and (direction is None
                               or recycle_policy(row, config) == "recompute"):
@@ -314,10 +315,11 @@ class _Rows:
     its iterate (the recurrence rebinds x every step, so this is no copy)
     and the recurrence's product counts, for at most n rows, the memory
     of one n x n factor.  At that cap, and at every row when stop_when is
-    given (a stop cannot be deferred), the recurrence waits.  A row's
-    counts are the recurrence's at its iteration plus every product the
-    estimator suite has spent up to and including the row: what one
-    shared operator counts when each row is evaluated as it falls due.
+    given (a stop cannot be deferred), the recurrence waits.  ops is the
+    estimator suite's own operator, so a row's counts are the
+    recurrence's at its iteration plus every product the suite has spent
+    up to and including the row: what one shared operator counts when
+    each row is evaluated as it falls due.
     """
 
     def __init__(self, ops, b, config, kwf, exact, stop_when, trace):
@@ -328,8 +330,7 @@ class _Rows:
         self.true_mu = None
         if config.compute_true_mu and not isinstance(exact, Future):
             self.true_mu = _TrueMu(ops.matrix, exact)
-        self.kept = []  # (itn, x, matvecs, rmatvecs) of unevaluated rows
-        self.spent = (0, 0)  # products of the estimator suite so far
+        self.kept = []  # (itn, x, recurrence counts) of unevaluated rows
         self.direction: RecycledDirection | None = None
 
     def poll(self, itn: int) -> None:
@@ -342,15 +343,15 @@ class _Rows:
         if len(landed) == len(self.pending):
             self._land(itn)
 
-    def due(self, itn: int, x: np.ndarray) -> bool:
-        """Take the row due at iteration itn; True when stop_when stops the
+    def due(self, itn: int, x: np.ndarray, counts: tuple[int, int]) -> bool:
+        """Take the row due at iteration itn, where the recurrence has
+        taken counts (matvecs, rmatvecs); True when stop_when stops the
         run."""
-        ops = self.ops
-        self.kept.append((itn, x, ops.matvecs - self.spent[0],
-                          ops.rmatvecs - self.spent[1]))
+        self.kept.append((itn, x, counts))
         if not self.pending:
             self._evaluate_kept()
-        elif self.stop_when is not None or len(self.kept) >= ops.shape[1]:
+        elif (self.stop_when is not None
+              or len(self.kept) >= self.ops.shape[1]):
             self._land(itn)
         return self.stop_when is not None and self.stop_when(
             self.trace.rows[-1])
@@ -371,13 +372,11 @@ class _Rows:
         self._evaluate_kept()
 
     def _evaluate_kept(self) -> None:
-        for itn, x, mv, rmv in self.kept:
+        for itn, x, counts in self.kept:
             row, self.direction = _estimate_row(
                 itn, self.ops, self.b, x, self.config, self.kwf,
-                self.direction, self.true_mu,
-                (mv + self.spent[0], rmv + self.spent[1]))
+                self.direction, self.true_mu, counts)
             self.trace.rows.append(row)
-            self.spent = (row.matvec_count - mv, row.rmatvec_count - rmv)
         self.kept.clear()
 
 
@@ -423,7 +422,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
                         norm_A_fro_source=fro_source, norm_A_2=norm_A_2,
                         setup_matvecs=setup_mv, setup_rmatvecs=setup_rmv)
-    rows = _Rows(ops, b, config, kwf, exact, stop_when, trace)
+    rows = _Rows(MatrixOperator(A), b, config, kwf, exact, stop_when, trace)
     x = np.zeros(n)
 
     normb = float(np.linalg.norm(b))
@@ -522,7 +521,8 @@ def lsmr(A, b, config: SolverConfig | None = None,
         converged = normar_est <= config.atol * normA_stop * normr_est
         last = converged or zerovec or itn == max_iters
 
-        if (itn % config.estimate_every == 0 or last) and rows.due(itn, x):
+        if ((itn % config.estimate_every == 0 or last)
+                and rows.due(itn, x, (ops.matvecs, ops.rmatvecs))):
             stop_reason = "estimator"
             break
         if converged:
@@ -542,39 +542,23 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
 def _lsmr_beside_factorization(A, b, config: SolverConfig, sketch):
     """lsmr(A, b, config, kwf, exact=exact) with kwf the factorization of
-    the sketch S A and, with config.compute_true_mu, exact that of A (both
-    from kw_factorization_pair), the recurrence running while they are
-    computed.
+    the sketch S A and, with config.compute_true_mu, exact that of A, the
+    recurrence running on the calling thread while they are computed.
 
-    lsmr starts on one helper thread and the calling thread factors; the
-    results reach lsmr as futures.  The factorizations stay on the calling
-    thread: on the 8899 x 1019 stand-in with a 6n Gaussian sketch,
-    factoring on a pool thread raised the peak resident set of `lsbe
-    solve` from 161 to 169 MB, while running lsmr on one adds only the
-    kept iterates (500 of 8 KB there).  If factoring fails or is
-    interrupted, the exception is set on every pending future, which
-    stops lsmr at its next iteration; the helper is joined and the
-    exception re-raised.  Once the factorizations have landed nothing
-    can stop lsmr early, so an interrupt then waits for the run to end.
+    Both factorizations run on one two-worker pool (lsbe-factor threads)
+    and reach lsmr as futures; they spend their time in LAPACK, which
+    releases the interpreter lock.  A factorization that fails stops lsmr
+    at its next iteration with its exception.  An interrupt stops lsmr at
+    once; the pool is then left only once the factorizations already
+    running finish, since LAPACK cannot be interrupted.
     """
-    kwf = Future()
-    exact = Future() if config.compute_true_mu else None
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="lsbe-lsmr") as helper:
-        run = helper.submit(lsmr, A, b, config, kwf, exact=exact)
-        try:
-            if exact is None:
-                kwf.set_result(kw_factorization(A, sketch=sketch))
-            else:
-                sketched, whole = kw_factorization_pair(A, sketch)
-                exact.set_result(whole)
-                kwf.set_result(sketched)
-        except BaseException as exc:
-            for future in (kwf, exact):
-                if future is not None and not future.done():
-                    future.set_exception(exc)
-            raise
-        return run.result()
+    with ThreadPoolExecutor(max_workers=2,
+                            thread_name_prefix="lsbe-factor") as pool:
+        # A first: the sparse-sign draw holds the GIL and would hold A back.
+        exact = (pool.submit(kw_factorization, A)
+                 if config.compute_true_mu else None)
+        kwf = pool.submit(kw_factorization, A, sketch=sketch)
+        return lsmr(A, b, config, kwf, exact=exact)
 
 
 __all__ = [

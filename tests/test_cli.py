@@ -311,7 +311,6 @@ def test_solve_rejects_rhs_before_factoring(tmp_path, capsys, monkeypatch,
         pytest.fail("lsbe solve factored before it checked its input")
     monkeypatch.setattr(lsbe.core, "kw_factorization", fail)
     monkeypatch.setattr(lsbe.solver, "kw_factorization", fail)
-    monkeypatch.setattr(lsbe.solver, "kw_factorization_pair", fail)
     assert main(["solve", TINY, "--rhs", str(rhs), "--true-mu", true_mu,
                  "--out", str(tmp_path / "t.csv")]) == 2
     assert "error: b " in capsys.readouterr().err

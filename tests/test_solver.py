@@ -1,8 +1,9 @@
+import _thread
 import math
 import os
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -490,7 +491,8 @@ def _gate(threshold, reached, made):
 
 
 def _with_stop(stop_when):
-    """lsmr with stop_when bound, for the helper, which passes none."""
+    """lsmr with stop_when bound, for _lsmr_beside_factorization, which
+    passes none."""
     def run(*args, **kwargs):
         return lsmr(*args, stop_when=stop_when, **kwargs)
     return run
@@ -525,8 +527,6 @@ def test_rows_match_when_factorizations_land_late(rng, monkeypatch, every,
         return wait_then
     monkeypatch.setattr(lsbe.solver, "kw_factorization",
                         gated(lsbe.solver.kw_factorization))
-    monkeypatch.setattr(lsbe.solver, "kw_factorization_pair",
-                        gated(lsbe.solver.kw_factorization_pair))
     monkeypatch.setattr(lsbe.solver, "lsmr", _with_stop(stop_when))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -594,15 +594,11 @@ def _lsbe_threads_end():
             assert not thread.is_alive(), thread.name
 
 
-@pytest.mark.parametrize("true_mu", [False, True])
-@pytest.mark.parametrize("error", [np.linalg.LinAlgError, KeyboardInterrupt])
-def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
-                                                   error):
-    # No row falls due before the last iteration, and on these graded
-    # columns the recurrence runs all 10^5 iterations (its ||A'r|| estimate
-    # would underflow to 0 only after some 10^6), so only the per-step
-    # check of the failed future can end it early; the factorization's own
-    # exception comes back once the helper is joined.
+def _long_graded_run(rng, true_mu):
+    """(A, b, S, config) for a run that nothing but a failure or an
+    interrupt ends early: no row falls due before the last iteration, and
+    on these graded columns the recurrence runs all 10^5 iterations (its
+    ||A'r|| estimate would underflow to 0 only after some 10^6)."""
     A = sp.csc_matrix(rng.standard_normal((400, 100))
                       * np.logspace(0, -10, 100))
     b = rng.standard_normal(400)
@@ -610,6 +606,16 @@ def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
     config = SolverConfig(atol=1e-300, max_iters=10 ** 5,
                           estimate_every=10 ** 5, compute_true_mu=true_mu,
                           norm_A_2=1.0)
+    return A, b, S, config
+
+
+@pytest.mark.parametrize("true_mu", [False, True])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, KeyboardInterrupt])
+def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
+                                                   error):
+    # Only the per-step check of the failed future can end the run early;
+    # the factorization's own exception comes back once the pool is left.
+    A, b, S, config = _long_graded_run(rng, true_mu)
     reached = threading.Event()
     made = []
     monkeypatch.setattr(lsbe.solver, "MatrixOperator",
@@ -625,8 +631,40 @@ def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
         lsbe.solver._lsmr_beside_factorization(A, b, config, S)
     assert caught.value is raised
     _lsbe_threads_end()
-    [ops] = made
+    ops = made[0]  # the recurrence's; the estimator suite has its own
     assert 50 <= ops.matvecs < 10 ** 4
+
+
+@pytest.mark.parametrize("true_mu", [False, True])
+def test_interrupt_stops_the_recurrence(rng, monkeypatch, true_mu):
+    # Ctrl-C once the factorization futures are done: the recurrence must
+    # stop at once instead of running out its 10^5 iterations before the
+    # interrupt surfaces.
+    A, b, S, config = _long_graded_run(rng, true_mu)
+    futures, made = [], []
+    run = lsbe.solver.lsmr
+
+    def watched(A, b, config, kwf, exact=None):
+        futures.extend(f for f in (kwf, exact) if f is not None)
+        return run(A, b, config, kwf, exact=exact)
+
+    class Interrupting(MatrixOperator):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append(self)
+
+        def matvec(self, v):
+            if self.matvecs == 50:
+                assert not wait(futures, timeout=60).not_done
+                _thread.interrupt_main()
+            return super().matvec(v)
+    monkeypatch.setattr(lsbe.solver, "lsmr", watched)
+    monkeypatch.setattr(lsbe.solver, "MatrixOperator", Interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        lsbe.solver._lsmr_beside_factorization(A, b, config, S)
+    _lsbe_threads_end()
+    assert len(futures) == (2 if true_mu else 1)
+    assert 50 <= made[0].matvecs < 10 ** 4
 
 
 def test_failed_future_is_raised_by_lsmr(rng):
