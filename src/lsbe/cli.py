@@ -188,7 +188,7 @@ def cmd_solve(args) -> int:
                    for k, v in dataclasses.asdict(config).items()},
         "run": {name: getattr(trace, name) for name in (
             "stop_reason", "iterations", "setup_matvecs", "setup_rmatvecs",
-            "factored_at_iter")},
+            "factored_at_iter", "row_block_size", "row_blocks", "row_s")},
         "out": args.out,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

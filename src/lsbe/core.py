@@ -249,19 +249,36 @@ class KWFactorization:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
-    def check_shift(self, shift: float) -> None:
-        """Raise ShiftNotPD unless M'M + shift I is positive definite (a
-        NaN shift is not)."""
-        if not shift + float(self.singular_values[-1] ** 2) > 0.0:
+    def check_shift(self, shift) -> None:
+        """Raise ShiftNotPD unless M'M + shift I is positive definite for
+        the shift, or for every one of an array of shifts (a NaN shift is
+        not)."""
+        if not np.all(np.asarray(shift)
+                      + float(self.singular_values[-1] ** 2) > 0.0):
             raise ShiftNotPD(
                 "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
 
-    def solve(self, rhs, shift: float) -> np.ndarray:
-        """(M'M + shift I)^{-1} rhs in O(n^2), after check_shift."""
+    def coordinates(self, v) -> np.ndarray:
+        """V'v: v in the basis of right singular vectors, for one vector
+        (n,) or for every row of a stack (k, n)."""
+        return np.asarray(v, dtype=float) @ self.right_vectors
+
+    def solve(self, rhs, shift, z=None) -> np.ndarray:
+        """(M'M + shift I)^{-1} rhs in O(n^2), after check_shift.
+
+        rhs is one vector (n,) with a float shift, or a stack (k, n) with
+        one shift per row.  A stack costs two gemms, which read V once
+        where k solves read it 2k times; a row of a stack may differ from
+        its own solve in the last bits, but a stack of one is bitwise the
+        vector's solve.  z, when given, is coordinates(rhs), already
+        formed by the caller.
+        """
+        shift = np.asarray(shift, dtype=float)
         self.check_shift(shift)
+        if z is None:
+            z = self.coordinates(rhs)
         s = self.singular_values
-        z = self.right_vectors.T @ rhs
-        return self.right_vectors @ (z / (s * s + shift))
+        return (z / (s * s + shift[..., None])) @ self.right_vectors.T
 
 
 def kw_factorization(M, sketch=None) -> KWFactorization:

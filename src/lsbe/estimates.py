@@ -55,14 +55,18 @@ def mu_rank_one(a, r):
     return float(mu) if mu.ndim == 0 else mu
 
 
-def sketched_kw(kwf: KWFactorization, At_r, norm_r: float) -> float:
+def sketched_kw(kwf: KWFactorization, At_r, norm_r: float,
+                z=None) -> float:
     """nu = ||(M'M + ||r||^2 I)^{-1/2} A'r|| from the retained SVD of M.
 
     With M = SA this is the sketched estimate: it needs only At_r = A'r
     plus O(n^2) work and never touches A; with M = A it is kw itself.
+    z, when given, is kwf.coordinates(At_r), already formed (the
+    estimator suite shares it with lb_direction).
     """
     At_r = np.asarray(At_r, dtype=float).ravel()
-    z = kwf.right_vectors.T @ At_r
+    if z is None:
+        z = kwf.coordinates(At_r)
     s = kwf.singular_values
     if norm_r == 0.0:
         if float(np.linalg.norm(At_r)) == 0.0:
@@ -97,30 +101,42 @@ def kw_multi(A, Rtheta) -> float:
 
 
 def lb_direction(kwf: KWFactorization, At_r, norm_r: float,
-                 mu_est: float = 0.0) -> np.ndarray:
+                 mu_est: float = 0.0, z=None) -> np.ndarray:
     """Solve ((SA)'(SA) + (||r||^2 - mu_est^2) I) p = A'r for the
     (unnormalized) lower-bound direction.
 
     Raises ShiftNotPD when mu_est^2 >= ||r||^2 + sigma_min^2(SA); the
-    caller should reset mu_est to 0.
+    caller should reset mu_est to 0.  z, when given, is
+    kwf.coordinates(At_r), already formed.
     """
     return kwf.solve(np.asarray(At_r, dtype=float).ravel(),
-                     norm_r ** 2 - mu_est ** 2)
+                     norm_r ** 2 - mu_est ** 2, z=z)
 
 
 def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
-              norm_r: float, mu_est: float = 0.0) -> np.ndarray:
+              norm_r, mu_est=0.0) -> np.ndarray:
     """One iterative-refinement step on the lower-bound direction.
 
     Uses the sketch factorization as the approximate inverse and costs one
-    matvec plus one rmatvec against the true operator.
+    matvec plus one rmatvec against the true operator per direction.
+    p_tilde (k, n) and r_theta (k, m) may be stacks with norm_r and
+    mu_est per row: the products stay one per row, and the solve is one
+    batched kwf.solve over the stack (a row may then move in its last
+    bits; see there).  Every shift is checked before any product is spent.
     """
-    p_tilde = np.asarray(p_tilde, dtype=float).ravel()
-    r = np.asarray(r_theta, dtype=float).ravel()
-    shift = norm_r ** 2 - mu_est ** 2
-    kwf.check_shift(shift)  # before spending any product
-    residual = A_ops.rmatvec(r - A_ops.matvec(p_tilde)) - shift * p_tilde
-    return p_tilde + kwf.solve(residual, shift)
+    p = np.asarray(p_tilde, dtype=float)
+    r = np.asarray(r_theta, dtype=float)
+    # Python's float power, which a single call has always used: on some
+    # libms it is not the correctly rounded x * x that numpy's ** 2 gives.
+    pairs = np.broadcast(norm_r, mu_est)
+    shift = np.reshape([float(nr) ** 2 - float(me) ** 2 for nr, me in pairs],
+                       pairs.shape)
+    kwf.check_shift(shift)
+    P, R = np.atleast_2d(p, r)
+    residual = np.stack(
+        [A_ops.rmatvec(ri - A_ops.matvec(pi)) - si * pi
+         for pi, ri, si in zip(P, R, np.broadcast_to(shift, len(P)))])
+    return p + kwf.solve(residual.reshape(p.shape), shift)
 
 
 def ub_deflation(u, r_theta, At_u) -> float:

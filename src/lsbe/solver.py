@@ -10,6 +10,7 @@ Every product with A (including those spent on estimation) is counted.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -104,7 +105,10 @@ class SolverTrace:
     setup_rmatvecs count the products spent before the first iteration
     (the power-iteration norm estimate).  factored_at_iter is the
     iteration the recurrence had reached when factorizations passed as
-    futures landed, 0 when they were passed in ready.
+    futures landed, 0 when they were passed in ready.  row_block_size is
+    the number of rows evaluated together (see lsmr), row_blocks the
+    number of blocks evaluated and row_s the seconds spent evaluating
+    them, waits for the factorizations excluded.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -118,6 +122,9 @@ class SolverTrace:
     setup_matvecs: int = 0
     setup_rmatvecs: int = 0
     factored_at_iter: int = 0
+    row_block_size: int = 1
+    row_blocks: int = 0
+    row_s: float = 0.0
 
 
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
@@ -208,6 +215,41 @@ ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
                     "ub_deflation", "ub_generous")
 
 
+@dataclass(eq=False)
+class _Refinement:
+    """The refinement of one row's lower-bound direction: lb_refine's
+    inputs, then the lb_refined value and the products _refine spent."""
+
+    p_tilde: np.ndarray
+    r_theta: np.ndarray
+    norm_r_theta: float
+    mu_est: float
+    lb_refined: float = math.nan
+    matvecs: int = 0
+    rmatvecs: int = 0
+
+
+def _refine(ops, kwf: KWFactorization, jobs: list[_Refinement],
+            steps: int) -> None:
+    """Refine the directions of a block of rows together.  Each step is
+    one lb_refine on the stack: a matvec and an rmatvec per row, then one
+    batched solve with kwf for the whole block.  Each refined direction
+    is then evaluated with one matvec (none when it is zero)."""
+    P = np.stack([job.p_tilde for job in jobs])
+    R = np.stack([job.r_theta for job in jobs])
+    norms = [job.norm_r_theta for job in jobs]
+    mu_ests = [job.mu_est for job in jobs]
+    for _ in range(steps):
+        P = lb_refine(P, kwf, ops, R, norms, mu_ests)
+    for job, q in zip(jobs, P):
+        job.matvecs += steps
+        job.rmatvecs += steps
+        nq = float(np.linalg.norm(q))
+        if nq > 0.0:
+            job.matvecs += 1
+            job.lb_refined = mu_rank_one(ops.matvec(q / nq), job.r_theta)
+
+
 def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
                     At_r_theta, mu_est: float = 0.0, refine_steps: int = 0,
                     direction: RecycledDirection | None = None, itn: int = 0):
@@ -220,14 +262,34 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     records the value used.  lb_recycled is evaluated on direction, or on
     fresh when direction is None.  Products go through ops; norm_r_theta
     is passed in so callers keep their own rounding of ||r_theta||.
+
+    This is lsmr's pipeline on a block of one row, and gives that row bit
+    for bit.  lsmr refines the directions of a block of rows with one
+    batched solve per step, so there lb_refined may move in its last bits
+    (see lsmr); every other value is computed per row.
     """
+    values, fresh, job = _unrefined_bounds(ops, kwf, r_theta, norm_r_theta,
+                                           At_r_theta, mu_est, direction, itn)
+    if refine_steps > 0 and job is not None:
+        _refine(ops, kwf, [job], refine_steps)
+        values["lb_refined"] = job.lb_refined
+    return values, fresh
+
+
+def _unrefined_bounds(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
+                      direction, itn):
+    """estimate_bounds but for the refinement: returns (values, fresh,
+    job) with values["lb_refined"] NaN, and job the _Refinement of the
+    fresh direction (None without one)."""
     values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
-    values["nu_sketched"] = sketched_kw(kwf, At_r_theta, norm_r_theta)
+    At_r_theta = np.asarray(At_r_theta, dtype=float).ravel()
+    z = kwf.coordinates(At_r_theta)  # shared by nu and the direction
+    values["nu_sketched"] = sketched_kw(kwf, At_r_theta, norm_r_theta, z=z)
     try:
-        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est)
+        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
     except ShiftNotPD:
         mu_est = 0.0
-        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est)
+        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
     np_t = float(np.linalg.norm(p_tilde))
     fresh = None
     if np_t > 0.0:
@@ -239,16 +301,9 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
                              else mu_rank_one(recycled.Ap, r_theta))
     if fresh is None:
         values["lb_fresh"] = 0.0
-        return values, None
+        return values, None, None
     Ap = fresh.Ap
     values["lb_fresh"] = mu_rank_one(Ap, r_theta)
-    if refine_steps > 0:
-        q = p_tilde
-        for _ in range(refine_steps):
-            q = lb_refine(q, kwf, ops, r_theta, norm_r_theta, mu_est)
-        nq = float(np.linalg.norm(q))
-        if nq > 0.0:
-            values["lb_refined"] = mu_rank_one(ops.matvec(q / nq), r_theta)
     u_def = Ap - r_theta
     if float(np.linalg.norm(u_def)) > 0.0:
         values["ub_deflation"] = ub_deflation(u_def, r_theta,
@@ -257,15 +312,15 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
         U = pair_basis(Ap, r_theta)
         rows_UA = np.stack([ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
         values["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
-    return values, fresh
+    return values, fresh, _Refinement(p_tilde, r_theta, norm_r_theta, mu_est)
 
 
-def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu, counts):
-    """Refresh the residual, evaluate the estimator suite, and build a
-    trace row.  counts is the recurrence's (matvecs, rmatvecs) at itn, and
-    the row's counts add every product ops, the estimator suite's own
-    operator, has taken.  Returns (row, direction), where direction may
-    have been replaced per the recycle policy."""
+def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
+    """Refresh the residual and evaluate a row's estimator suite, all but
+    the refinement.  Returns (row, direction, job): row has lb_refined NaN
+    and counts 0 until its block fills them in, job is its _Refinement
+    (None when there is none), and direction may have been replaced per
+    the recycle policy."""
     r = b - ops.matvec(x)
     norm_r = float(np.linalg.norm(r))
     At_r = ops.rmatvec(r)
@@ -275,25 +330,24 @@ def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu, counts):
     values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
     mu_t = norm_rth = math.nan
     fresh: RecycledDirection | None = None
+    job = None
     if math.isfinite(cth):
         r_th = cth * r
         norm_rth = cth * norm_r
         if true_mu is not None:
             mu_t = true_mu(r_th)
         if kwf is not None:
-            values, fresh = estimate_bounds(
-                ops, kwf, r_th, norm_rth, cth * At_r,
-                refine_steps=config.refine_steps, direction=direction, itn=itn)
+            values, fresh, job = _unrefined_bounds(
+                ops, kwf, r_th, norm_rth, cth * At_r, 0.0, direction, itn)
 
     row = TraceRow(
         iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
-        mu_true=mu_t, matvec_count=counts[0] + ops.matvecs,
-        rmatvec_count=counts[1] + ops.rmatvecs, **values)
+        mu_true=mu_t, matvec_count=0, rmatvec_count=0, **values)
 
     if fresh is not None and (direction is None
                               or recycle_policy(row, config) == "recompute"):
         direction = fresh
-    return row, direction
+    return row, direction, job
 
 
 def _checked_rhs(b, m: int) -> np.ndarray:
@@ -307,6 +361,12 @@ def _checked_rhs(b, m: int) -> np.ndarray:
     return b
 
 
+# Due rows are evaluated in blocks of this many, so that each refinement
+# step solves the whole block with one gemm, which reads the n x n factor
+# once, instead of one gemv per row.
+ROW_BLOCK = 32
+
+
 class _Rows:
     """The trace rows of one lsmr run, evaluated in iteration order once
     the factorizations behind them are at hand.
@@ -315,8 +375,17 @@ class _Rows:
     its iterate (the recurrence rebinds x every step, so this is no copy)
     and the recurrence's product counts, for at most n rows, the memory
     of one n x n factor.  At that cap, and at every row when stop_when is
-    given (a stop cannot be deferred), the recurrence waits.  ops is the
-    estimator suite's own operator, so a row's counts are the
+    given (a stop cannot be deferred), the recurrence waits.
+
+    Rows are evaluated in blocks of consecutive rows, counted from the
+    first row, so a row does not depend on when the futures land.  The
+    block size is ROW_BLOCK, capped so that the residuals a block keeps
+    for its refinement hold no more than n x n floats (block * m <= n^2,
+    and at least 1); it is 1 without refinement, which has nothing to
+    batch, and with stop_when.  The rows of a block run in order, each
+    with its own products and the recycle decision, then one _refine
+    refines the block.  ops is the estimator suite's own operator, and
+    each row's products are tallied per row, so a row's counts are the
     recurrence's at its iteration plus every product the suite has spent
     up to and including the row: what one shared operator counts when
     each row is evaluated as it falls due.
@@ -332,11 +401,15 @@ class _Rows:
             self.true_mu = _TrueMu(ops.matrix, exact)
         self.kept = []  # (itn, x, recurrence counts) of unevaluated rows
         self.direction: RecycledDirection | None = None
+        m, n = ops.shape
+        self.block = (1 if config.refine_steps == 0 or stop_when is not None
+                      else max(1, min(ROW_BLOCK, n * n // m)))
+        trace.row_block_size = self.block
 
     def poll(self, itn: int) -> None:
         """Between iterations while a factorization is pending: a failed
         one raises its exception; once all have landed, the kept rows are
-        evaluated."""
+        evaluated, in full blocks."""
         landed = [f for f in self.pending if f.done()]
         for f in landed:
             f.result()
@@ -358,9 +431,10 @@ class _Rows:
 
     def finish(self, itn: int) -> None:
         """Wait for the pending factorizations and evaluate every kept
-        row."""
+        row, the last block short if need be."""
         if self.pending:
             self._land(itn)
+        self._evaluate_kept(tail=True)
 
     def _land(self, itn: int) -> None:
         if isinstance(self.kwf, Future):
@@ -371,13 +445,36 @@ class _Rows:
         self.trace.factored_at_iter = itn
         self._evaluate_kept()
 
-    def _evaluate_kept(self) -> None:
-        for itn, x, counts in self.kept:
-            row, self.direction = _estimate_row(
-                itn, self.ops, self.b, x, self.config, self.kwf,
-                self.direction, self.true_mu, counts)
-            self.trace.rows.append(row)
-        self.kept.clear()
+    def _evaluate_kept(self, tail: bool = False) -> None:
+        while len(self.kept) >= self.block or (tail and self.kept):
+            block, self.kept = self.kept[:self.block], self.kept[self.block:]
+            self._evaluate(block)
+
+    def _evaluate(self, block) -> None:
+        start = time.perf_counter()
+        ops = self.ops
+        spent_mv, spent_rmv = ops.matvecs, ops.rmatvecs  # before the block
+        evaluated = []  # (row, job, its own matvecs, rmatvecs) per row
+        for itn, x, _ in block:
+            mv, rmv = ops.matvecs, ops.rmatvecs
+            row, self.direction, job = _estimate_row(
+                itn, ops, self.b, x, self.config, self.kwf, self.direction,
+                self.true_mu)
+            evaluated.append((row, job, ops.matvecs - mv, ops.rmatvecs - rmv))
+        jobs = [job for _, job, _, _ in evaluated if job is not None]
+        if jobs and self.config.refine_steps > 0:
+            _refine(ops, self.kwf, jobs, self.config.refine_steps)
+        for (_, _, counts), (row, job, mv, rmv) in zip(block, evaluated):
+            lb_refined = math.nan
+            if job is not None:
+                lb_refined = job.lb_refined
+                mv, rmv = mv + job.matvecs, rmv + job.rmatvecs
+            spent_mv, spent_rmv = spent_mv + mv, spent_rmv + rmv
+            self.trace.rows.append(replace(
+                row, lb_refined=lb_refined, matvec_count=counts[0] + spent_mv,
+                rmatvec_count=counts[1] + spent_rmv))
+        self.trace.row_blocks += 1
+        self.trace.row_s += time.perf_counter() - start
 
 
 def lsmr(A, b, config: SolverConfig | None = None,
@@ -396,10 +493,23 @@ def lsmr(A, b, config: SolverConfig | None = None,
     (then it waits; with stop_when it waits at the first row), and the
     rows come out bit for bit as the ready factorizations give them.  A
     future that fails stops the run at its next iteration with its
-    exception, and lsmr returns only once every future has landed.  Returns
-    (x, trace, stop_reason) with stop_reason one of "converged" (the
-    ||A'r|| test fired), "estimator" (stop_when fired), "breakdown" (the
-    bidiagonalization produced a zero vector first), or "max_iters".
+    exception, and lsmr returns only once every future has landed.
+
+    With refinement and no stop_when, due rows are evaluated in blocks of
+    up to ROW_BLOCK consecutive rows (fewer when block * m would exceed
+    n^2, so the residuals a block keeps stay within one n x n factor), and
+    each refinement step solves for the whole block with one gemm, which
+    sums in another order than a row's own solve.  So lb_refined may move
+    against evaluating each row on its own, as estimate_bounds does, by
+    about one rounding of ||r_theta||: below 1e-15 relative unless mu is
+    far below ||r_theta||, where a'r cancels and the relative change
+    grows (up to 2.4e-9 at mu/||r_theta|| = 1e-8).  Every other column
+    and every count is computed per row and is bit for bit the same.
+    Blocks are counted from the first row, so rows do not depend on when
+    futures land.  Returns (x, trace, stop_reason) with stop_reason one
+    of "converged" (the ||A'r|| test fired), "estimator" (stop_when
+    fired), "breakdown" (the bidiagonalization produced a zero vector
+    first), or "max_iters".
     """
     config = config or SolverConfig()
     ops = MatrixOperator(A)

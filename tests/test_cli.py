@@ -350,8 +350,12 @@ def test_solve_manifest_reports_the_run(tmp_path, monkeypatch, flags):
         "stop_reason": stop_reason, "iterations": trace.iterations,
         "setup_matvecs": trace.setup_matvecs,
         "setup_rmatvecs": trace.setup_rmatvecs,
-        "factored_at_iter": trace.factored_at_iter}
+        "factored_at_iter": trace.factored_at_iter,
+        "row_block_size": trace.row_block_size,
+        "row_blocks": trace.row_blocks, "row_s": trace.row_s}
     assert 0 <= trace.factored_at_iter <= trace.iterations
+    assert trace.row_blocks * trace.row_block_size >= len(trace.rows)
+    assert trace.row_s > 0.0
     # The power-iteration norm estimate, unless --norm-a2 supplies it.
     ops = lsbe.core.MatrixOperator(load_matrix(TINY))
     if not flags:

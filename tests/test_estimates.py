@@ -256,6 +256,62 @@ def test_kw_factorization_solve_matches_dense(rng):
         kwf.solve(rhs, -smin2)
 
 
+def _stack_problem(rng, k, m=80, n=30):
+    """A sketched factorization with k residuals, their directions and
+    their norms, for the stacked solve and refinement."""
+    A = rng.standard_normal((m, n)) * np.logspace(0, -3, n)
+    S = SketchOperator(kind="gaussian", rows=3 * n, cols=m, seed=2)
+    kwf = kw_factorization(apply_sketch(S, A))
+    R = rng.standard_normal((k, m))
+    norms = np.linalg.norm(R, axis=1)
+    P = np.stack([lb_direction(kwf, A.T @ r, float(nr))
+                  for r, nr in zip(R, norms)])
+    return A, kwf, R, norms, P
+
+
+def _assert_rows_close(got, ref, rtol=1e-14):
+    for g, w in zip(got, ref):
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("k", [1, 9, 40])
+def test_stacked_solve_and_refine_match_single_calls(rng, k):
+    # One batched solve (and refinement step) over k right-hand sides
+    # against k single calls: a stack of one is bitwise the single call,
+    # a longer one within 1e-14 relative per row.
+    A, kwf, R, norms, P = _stack_problem(rng, k)
+    shifts = norms ** 2 - (0.3 * norms) ** 2
+    solved = kwf.solve(P, shifts)
+    single = [kwf.solve(p, float(sh)) for p, sh in zip(P, shifts)]
+    ops = MatrixOperator(A)
+    refined = lb_refine(P, kwf, ops, R, norms, 0.3 * norms)
+    assert (ops.matvecs, ops.rmatvecs) == (k, k)
+    single_refined = [lb_refine(p, kwf, MatrixOperator(A), r, float(nr),
+                                0.3 * float(nr))
+                      for p, r, nr in zip(P, R, norms)]
+    if k == 1:
+        assert np.array_equal(solved[0], single[0])
+        assert np.array_equal(refined[0], single_refined[0])
+    _assert_rows_close(solved, single)
+    _assert_rows_close(refined, single_refined)
+
+
+def test_stacked_refine_checks_every_shift_before_products(rng):
+    A, kwf, R, norms, P = _stack_problem(rng, 5)
+    mu_est = np.zeros(5)
+    mu_est[3] = 10.0 * (norms[3] + float(kwf.singular_values[0]))
+    ops = MatrixOperator(A)
+    with pytest.raises(ShiftNotPD):
+        lb_refine(P, kwf, ops, R, norms, mu_est)
+    assert (ops.matvecs, ops.rmatvecs) == (0, 0)
+    shifts = norms ** 2 - mu_est ** 2
+    with pytest.raises(ShiftNotPD):
+        kwf.solve(P, shifts)
+    shifts[3] = math.nan
+    with pytest.raises(ShiftNotPD):
+        kwf.solve(P, shifts)
+
+
 def test_lb_evaluate_orthogonal_is_zero():
     assert mu_rank_one(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+from dataclasses import replace
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -514,9 +515,22 @@ def test_rows_match_when_factorizations_land_late(rng, monkeypatch, every,
     exact = kw_factorization(A) if true_mu else None
     stop_when = ((lambda row: row.iter >= 5 * every) if stop else None)
     ref = lsmr(A, b, config, kwf, stop_when, exact=exact)
-
-    reached = threading.Event()
     threshold = every if stop else 3 * every + 1
+    got = _run_landing_late(monkeypatch, A, b, config, S, stop_when,
+                            threshold)
+    _assert_same_run(got, ref)
+    landed = got[1].factored_at_iter
+    if stop:
+        assert landed == every  # the first row waited
+    else:
+        assert threshold <= landed <= got[1].iterations
+
+
+def _run_landing_late(monkeypatch, A, b, config, S, stop_when, threshold):
+    """_lsmr_beside_factorization(A, b, config, S) with stop_when, its
+    factorizations held back until the recurrence has done `threshold`
+    matvecs."""
+    reached = threading.Event()
     monkeypatch.setattr(lsbe.solver, "MatrixOperator",
                         _gate(threshold, reached, []))
 
@@ -531,15 +545,93 @@ def test_rows_match_when_factorizations_land_late(rng, monkeypatch, every,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = lsbe.solver._lsmr_beside_factorization(A, b, config, S)
+        return lsbe.solver._lsmr_beside_factorization(A, b, config, S)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _blocked_problem(rng):
+    """A dense 240 x 90 problem with graded columns, so that 32-row blocks
+    fit the cap (32 * 240 <= 90^2) and LSMR runs all 300 iterations."""
+    A = rng.standard_normal((240, 90)) * np.logspace(0, -4, 90)
+    return A, rng.standard_normal(240), _sketch_kwf(A, factor=3)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_blocked_rows_match_blocks_of_one(rng, every, steps):
+    # stop_when forces blocks of one; blocks of 32 move only lb_refined,
+    # and that by at most 1e-14 relative.
+    A, b, kwf = _blocked_problem(rng)
+    config = SolverConfig(estimate_every=every, refine_steps=steps,
+                          max_iters=300)
+    x, trace, stop = lsmr(A, b, config, kwf)
+    x1, trace1, stop1 = lsmr(A, b, config, kwf, stop_when=lambda row: False)
+    assert (stop, trace.iterations) == (stop1, trace1.iterations)
+    assert np.array_equal(x, x1)
+    rows = len(trace1.rows)
+    assert rows == len(trace.rows) > 32
+    assert (trace.row_block_size, trace.row_blocks) == (32, -(-rows // 32))
+    assert (trace1.row_block_size, trace1.row_blocks) == (1, rows)
+    others = [c for c in TRACE_COLUMNS if c != "lb_refined"]
+    for row, ref in zip(trace.rows, trace1.rows):
+        assert np.array_equal([getattr(row, c) for c in others],
+                              [getattr(ref, c) for c in others],
+                              equal_nan=True)
+        assert row.lb_refined == pytest.approx(ref.lb_refined, rel=1e-14,
+                                               abs=0)
+
+
+@pytest.mark.parametrize("threshold", [40, 64])
+def test_blocks_do_not_depend_on_when_factorizations_land(rng, monkeypatch,
+                                                          threshold):
+    # Blocks are counted from the first row, so rows kept until the
+    # factorizations land (40 or 64 of them, not a multiple of 32) give
+    # the ready run bit for bit, lb_refined included.
+    A, b, _ = _blocked_problem(rng)
+    S = SketchOperator(kind="gaussian", rows=96, cols=A.shape[0], seed=4)
+    config = SolverConfig(estimate_every=1, refine_steps=1, max_iters=300,
+                          norm_A_2=1.0)
+    ref = lsmr(A, b, config, kw_factorization(apply_sketch(S, A)))
+    got = _run_landing_late(monkeypatch, A, b, config, S, None, threshold)
     _assert_same_run(got, ref)
-    landed = got[1].factored_at_iter
-    if stop:
-        assert landed == every  # the first row waited
-    else:
-        assert threshold <= landed <= got[1].iterations
+    assert got[1].row_block_size == 32
+    assert threshold <= got[1].factored_at_iter < got[1].iterations
+
+
+def test_tall_problem_evaluates_rows_one_by_one(rng):
+    # 2 * 300 > 16^2: a block of two would keep more than n^2 floats of
+    # residuals, so rows run one by one, bit for bit as with stop_when.
+    A, b = _graded_problem(rng)
+    kwf = kw_factorization(A)
+    config = SolverConfig(estimate_every=1, refine_steps=1, norm_A_2=1.0)
+    got = lsmr(A, b, config, kwf)
+    assert got[1].row_block_size == 1
+    _assert_same_run(got, lsmr(A, b, config, kwf,
+                               stop_when=lambda row: False))
+
+
+def test_rows_of_one_reproduce_estimate_bounds(rng):
+    # Every row evaluated on its own is the estimator suite on its
+    # iterate, with the direction the recycle policy kept.
+    A, b, kwf = _blocked_problem(rng)
+    config = SolverConfig(estimate_every=1, refine_steps=2, max_iters=8,
+                          recycle_threshold=1e-2)
+    _, trace, _ = lsmr(A, b, config, kwf, stop_when=lambda row: False)
+    config = replace(config, norm_A_2=trace.norm_A_2)
+    direction = None
+    for row in trace.rows:
+        x = lsmr(A, b, replace(config, max_iters=row.iter), kwf)[0]
+        r = b - A @ x
+        cth = theta_scale(config.theta, float(np.linalg.norm(x)))
+        values, fresh = estimate_bounds(
+            MatrixOperator(A), kwf, cth * r, cth * float(np.linalg.norm(r)),
+            cth * (A.T @ r), refine_steps=2, direction=direction,
+            itn=row.iter)
+        for name in ESTIMATE_COLUMNS:
+            assert values[name] == getattr(row, name), (row.iter, name)
+        if direction is None or recycle_policy(row, config) == "recompute":
+            direction = fresh
 
 
 class _WatchedFuture(Future):
