@@ -2,8 +2,7 @@
 squares, with an LSMR harness that traces every estimate per iteration."""
 
 from .core import (CompressedPair, LSProblem, MatrixOperator,
-                   WeightedResidual, compress_pair, kw_factorization_pair,
-                   weighted_residual)
+                   WeightedResidual, compress_pair, weighted_residual)
 from .decomposition import (DecompositionWitness, brute_force_max,
                             decomposition_sum, optimal_pq)
 from .estimates import (KWFactorization, RecycledDirection, kw,
@@ -27,8 +26,7 @@ __all__ = [
     "hyperbolic_cs",
     "MuResult", "mu_exact", "mu_sigma_min", "mu_fixed_point", "mu_gevp",
     "mu_all_methods",
-    "KWFactorization", "kw_factorization", "kw_factorization_pair",
-    "RecycledDirection",
+    "KWFactorization", "kw_factorization", "RecycledDirection",
     "mu_rank_one", "kw", "kw_multi", "sketched_kw", "lb_direction",
     "lb_refine", "ub_deflation", "ub_generous", "pair_basis",
     "DecompositionWitness", "optimal_pq", "decomposition_sum",

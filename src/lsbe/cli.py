@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import GL7D12_SHAPE, run_all, seeded_rhs
-from .core import (LSProblem, MatrixOperator, kw_factorization_pair,
-                   weighted_residual)
+from .core import LSProblem, MatrixOperator, weighted_residual
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
 from .estimates import kw_multi, sketched_kw
@@ -29,8 +28,8 @@ from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, sketch_rows
 from .solver import SolverConfig, estimate_bounds
-from .solver import (_checked_rhs, _lsmr_beside_factorization,
-                     _power_spectral_norm)
+from .solver import (_checked_rhs, _factorizations,
+                     _lsmr_beside_factorization, _power_spectral_norm)
 
 
 def _checked(name: str, convert, ok, rule: str):
@@ -85,6 +84,16 @@ def cmd_estimate(args) -> int:
     problem = LSProblem(A, B, theta=args.theta)
     wr = weighted_residual(problem, X)
     m, n, d = problem.m, problem.n, problem.d
+    kwf_A = None
+    if d == 1:
+        # Before the report, so that a bad sketch prints none of it.
+        r = wr.Rtheta[:, 0]
+        norm_r = float(np.linalg.norm(r))
+        At_r = A.T @ r
+        S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
+                          args.seed)
+        with _factorizations(A, S, exact=True) as futures:
+            kwf, kwf_A = (f.result() for f in futures)
 
     print(f"m = {m}")
     print(f"n = {n}")
@@ -93,14 +102,6 @@ def cmd_estimate(args) -> int:
     print(f"norm_r = {fmt_float(float(np.linalg.norm(wr.R)))}")
     print(f"norm_r_theta = {fmt_float(wr.norm_Rtheta)}")
 
-    kwf_A = None
-    if d == 1:
-        r = wr.Rtheta[:, 0]
-        norm_r = float(np.linalg.norm(r))
-        At_r = A.T @ r
-        S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n,
-                          args.seed)
-        kwf, kwf_A = kw_factorization_pair(A, S)
     routes = {"eig": mu_exact, "sigma-min": mu_sigma_min,
               "fixed-point": lambda M, R: mu_fixed_point(M, R, kwf=kwf_A),
               "gevp": mu_gevp}
@@ -151,6 +152,7 @@ def cmd_solve(args) -> int:
     )
     A = load_matrix(args.matrix)
     m, n = A.shape
+    S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
     if (m, n) == GL7D12_SHAPE:
         print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
               "matrix GL7d12")
@@ -166,7 +168,6 @@ def cmd_solve(args) -> int:
     else:
         b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
 
-    S = _build_sketch(args.sketch, args.sketch_rows_factor, m, n, args.seed)
     x, trace, stop_reason = _lsmr_beside_factorization(A, b, config, S)
     # lsmr was handed the norm estimate, so its products were spent here.
     trace.setup_matvecs += power.matvecs

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,24 +312,6 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
 
 
-def kw_factorization_pair(M, sketch) -> tuple[KWFactorization,
-                                              KWFactorization]:
-    """(kw_factorization(M, sketch=sketch), kw_factorization(M)), the second
-    computed on one helper thread while the calling thread computes the
-    first.
-
-    Both spend their time in LAPACK and BLAS, which release the
-    interpreter lock, so with a second core free the pair costs about as
-    much as the longer of the two; on one core they run in turn.  Each
-    result is the one the call on its own gives.  The helper is joined
-    before this returns or raises, and an error on either side propagates.
-    """
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="lsbe-exact-factor") as helper:
-        exact = helper.submit(kw_factorization, M)
-        return kw_factorization(M, sketch=sketch), exact.result()
-
-
 # Block size of the compact WY representation inside dtpqrt and
 # compress_pair's dgeqrt: the fastest of 16-256 for folding 256 x 1019
 # blocks with one BLAS thread, and within 8% of the fastest of 32, 64 and
@@ -343,9 +324,10 @@ def _triangular_factor(blocks) -> np.ndarray:
     with T'T = M'M, for M given as a sequence of row blocks.  The blocks
     belong to the factorization, which overwrites them."""
     # The first QR stays on geqrf, not compress_pair's dgeqrt: dgeqrt is
-    # faster on its own, but on the exact side of kw_factorization_pair it
-    # slowed the pair from 1.38 to 1.85 s on the 8899 x 1019 stand-in (one
-    # BLAS thread, 2-core host).
+    # faster on its own (kw_factorization of the 8899 x 1019 stand-in in
+    # 1.23 against 1.36 s), but on A's side of the lsbe-factor pool, beside
+    # a sparse-sign 6n sketch, it slowed the pair from 1.56 to 2.04 s
+    # (medians of 6, one BLAS thread, 2-core host).
     stacked, rows, R = [], 0, None
     for block in blocks:
         if is_sparse(block):

@@ -30,6 +30,10 @@ from .errors import RankDeficient, ShapeMismatch
 
 _GAUSS_BLOCK = 256
 
+# Nonzeros per column of a sparse-sign sketch: zeta = 8 (Martinsson &
+# Tropp 2020), so such a sketch needs at least 8 rows.
+_SPARSE_SIGN_NNZ = 8
+
 
 @dataclass(frozen=True, eq=False)
 class SketchOperator:
@@ -37,7 +41,7 @@ class SketchOperator:
 
     kinds:
       gaussian      entries N(0, 1/rows), streamed in row blocks;
-      sparse_sign   nnz_per_col entries +-1/sqrt(nnz_per_col) per column;
+      sparse_sign   8 entries +-1/sqrt(8) per column (at least 8 rows);
       identity      pass-through (rows must equal cols);
       synthetic_eta test-only map with exactly known distortion: an
                     orthonormal lift composed with a scaling that acts as
@@ -50,7 +54,6 @@ class SketchOperator:
     rows: int
     cols: int
     seed: int = 0
-    nnz_per_col: int = 8
     eta: float = 0.0
     subspace: np.ndarray | None = None
 
@@ -64,9 +67,10 @@ class SketchOperator:
             raise ValueError("seed must be a non-negative integer")
         if self.kind == "identity" and self.rows != self.cols:
             raise ValueError("identity sketch requires rows == cols")
-        if self.kind == "sparse_sign" and not (
-                1 <= self.nnz_per_col <= self.rows):
-            raise ValueError("nnz_per_col must lie in [1, rows]")
+        if self.kind == "sparse_sign" and self.rows < _SPARSE_SIGN_NNZ:
+            raise ValueError(
+                f"a sparse-sign sketch needs at least {_SPARSE_SIGN_NNZ} "
+                f"rows, got {self.rows}")
         if self.kind == "synthetic_eta":
             if not (0.0 <= self.eta < 1.0):
                 raise ValueError("eta must lie in [0, 1)")
@@ -120,7 +124,7 @@ def _synthetic_parts(S: SketchOperator):
 
 def _sparse_sign_matrix(S: SketchOperator) -> sp.csr_matrix:
     rng = np.random.default_rng(S.seed)
-    nnz = S.nnz_per_col
+    nnz = _SPARSE_SIGN_NNZ
     rows_idx = np.empty(S.cols * nnz, dtype=np.int64)
     vals = np.empty(S.cols * nnz)
     scale = 1.0 / np.sqrt(nnz)

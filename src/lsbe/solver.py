@@ -9,6 +9,7 @@ Every product with A (including those spent on estimation) is counted.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -34,8 +35,8 @@ class SolverConfig:
     estimate_every sets the trace cadence; recycle_threshold is compared
     against the recycled bound relative to ||A||_2; refine_steps counts
     refinement passes per trace row (0 disables); compute_true_mu adds the
-    exact backward error to each row (A is densified only while factored
-    at set-up, keeping s and V, and lsmr takes that factorization as
+    exact backward error to each row (A is densified only while it is
+    factored, keeping s and V, and lsmr takes that factorization as
     exact= when the caller already has it, as `lsbe solve --true-mu on`
     does, from a future computed beside the recurrence; each row costs
     O(nnz + n^2));
@@ -371,11 +372,15 @@ class _Rows:
     """The trace rows of one lsmr run, evaluated in iteration order once
     the factorizations behind them are at hand.
 
-    kwf and exact may be Futures.  While one is pending, a due row keeps
-    its iterate (the recurrence rebinds x every step, so this is no copy)
-    and the recurrence's product counts, for at most n rows, the memory
-    of one n x n factor.  At that cap, and at every row when stop_when is
-    given (a stop cannot be deferred), the recurrence waits.
+    kwf and exact may be Futures.  _land alone resolves them and builds
+    the true mu, factoring A when exact is None: at set-up when none is
+    pending, else once all have landed (so beside a pending kwf, A is
+    factored at landing), with the same rows either way.  While one is
+    pending, a due row keeps its iterate (the recurrence rebinds x every
+    step, so this is no copy) and the recurrence's product counts, for
+    at most n rows, the memory of one n x n factor.  At that cap, and at
+    every row when stop_when is given (a stop cannot be deferred), the
+    recurrence waits.
 
     Rows are evaluated in blocks of consecutive rows, counted from the
     first row, so a row does not depend on when the futures land.  The
@@ -397,14 +402,14 @@ class _Rows:
         self.stop_when, self.trace = stop_when, trace
         self.pending = [f for f in (kwf, exact) if isinstance(f, Future)]
         self.true_mu = None
-        if config.compute_true_mu and not isinstance(exact, Future):
-            self.true_mu = _TrueMu(ops.matrix, exact)
         self.kept = []  # (itn, x, recurrence counts) of unevaluated rows
         self.direction: RecycledDirection | None = None
         m, n = ops.shape
         self.block = (1 if config.refine_steps == 0 or stop_when is not None
                       else max(1, min(ROW_BLOCK, n * n // m)))
         trace.row_block_size = self.block
+        if not self.pending:
+            self._land(0)
 
     def poll(self, itn: int) -> None:
         """Between iterations while a factorization is pending: a failed
@@ -437,10 +442,11 @@ class _Rows:
         self._evaluate_kept(tail=True)
 
     def _land(self, itn: int) -> None:
-        if isinstance(self.kwf, Future):
-            self.kwf = self.kwf.result()
-        if isinstance(self.exact, Future):
-            self.true_mu = _TrueMu(self.ops.matrix, self.exact.result())
+        """Resolve kwf, then exact, build the true mu, evaluate kept rows."""
+        self.kwf, exact = (f.result() if isinstance(f, Future) else f
+                           for f in (self.kwf, self.exact))
+        if self.config.compute_true_mu:
+            self.true_mu = _TrueMu(self.ops.matrix, exact)
         self.pending = []
         self.trace.factored_at_iter = itn
         self._evaluate_kept()
@@ -487,7 +493,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     leaves the estimator columns NaN); stop_when, if given, sees every
     trace row and stops the run when it returns True; exact, only with
     config.compute_true_mu, is kw_factorization(A) behind mu_true (None
-    factors A at set-up).  kwf and exact may also be
+    factors A once kwf is at hand).  kwf and exact may also be
     concurrent.futures.Future objects that another thread resolves: while
     they are pending the recurrence runs on, keeping up to n due iterates
     (then it waits; with stop_when it waits at the first row), and the
@@ -650,24 +656,29 @@ def lsmr(A, b, config: SolverConfig | None = None,
     return x, trace, stop_reason
 
 
-def _lsmr_beside_factorization(A, b, config: SolverConfig, sketch):
-    """lsmr(A, b, config, kwf, exact=exact) with kwf the factorization of
-    the sketch S A and, with config.compute_true_mu, exact that of A, the
-    recurrence running on the calling thread while they are computed.
-
-    Both factorizations run on one two-worker pool (lsbe-factor threads)
-    and reach lsmr as futures; they spend their time in LAPACK, which
-    releases the interpreter lock.  A factorization that fails stops lsmr
-    at its next iteration with its exception.  An interrupt stops lsmr at
-    once; the pool is then left only once the factorizations already
-    running finish, since LAPACK cannot be interrupted.
-    """
+@contextlib.contextmanager
+def _factorizations(A, sketch, exact: bool):
+    """Yield futures (kwf, exact): kw_factorization(A, sketch=sketch) and,
+    when exact is true, kw_factorization(A) (else None), computed on the
+    one two-worker lsbe-factor pool of lsbe estimate, lsbe solve and the
+    trace criterion.  LAPACK releases the interpreter lock, so on two
+    free cores the pair costs about the longer of the two.  Leaving the
+    block waits for both, even on an error or an interrupt."""
     with ThreadPoolExecutor(max_workers=2,
                             thread_name_prefix="lsbe-factor") as pool:
         # A first: the sparse-sign draw holds the GIL and would hold A back.
-        exact = (pool.submit(kw_factorization, A)
-                 if config.compute_true_mu else None)
-        kwf = pool.submit(kw_factorization, A, sketch=sketch)
+        exact = pool.submit(kw_factorization, A) if exact else None
+        yield pool.submit(kw_factorization, A, sketch=sketch), exact
+
+
+def _lsmr_beside_factorization(A, b, config: SolverConfig, sketch):
+    """lsmr(A, b, config, kwf, exact=exact) on the calling thread, with
+    kwf (the factorization of S A) and, with config.compute_true_mu,
+    exact (that of A) futures of _factorizations.  A factorization that
+    fails stops lsmr at its next iteration; an interrupt stops it at
+    once, and the call returns once the factorizations running finish.
+    """
+    with _factorizations(A, sketch, config.compute_true_mu) as (kwf, exact):
         return lsmr(A, b, config, kwf, exact=exact)
 
 

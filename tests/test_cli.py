@@ -289,6 +289,7 @@ def test_solve_manifest_is_strict_json(tmp_path):
     assert manifest["solver"]["atol"] == 1e-12
 
 
+@pytest.mark.threaded_blas
 def test_solve_byte_identical_reruns(tmp_path):
     out1 = str(tmp_path / "a.csv")
     out2 = str(tmp_path / "b.csv")
@@ -329,6 +330,41 @@ def test_solve_factorization_error_exits_2(tmp_path, capsys, monkeypatch,
     assert "SVD did not converge" in capsys.readouterr().err
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("lsbe-") and t.is_alive()]
+
+
+@pytest.mark.threaded_blas
+@pytest.mark.parametrize("side", ["sketch", "exact"])
+def test_estimate_factorization_error_exits_2(capsys, monkeypatch, side):
+    # A failure on either side of the factorization pool ends lsbe
+    # estimate before its report, and the pool is left behind it.
+    original = lsbe.solver.kw_factorization
+
+    def failing(M, sketch=None):
+        if (sketch is None) == (side == "exact"):
+            raise np.linalg.LinAlgError(f"{side} SVD did not converge")
+        return original(M, sketch=sketch)
+    monkeypatch.setattr(lsbe.solver, "kw_factorization", failing)
+    assert main(["estimate", TINY, *TINY_XB]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {side} SVD did not converge" in err
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("lsbe-") and t.is_alive()]
+
+
+@pytest.mark.parametrize("command", ["estimate", "solve"])
+def test_short_sparse_sign_sketch_exits_2(tmp_path, capsys, rng, command):
+    # n = 1 sizes the sketch at 6 rows, fewer than the 8 nonzeros of a
+    # sparse-sign column; the error names the rows before any output.
+    A = rng.standard_normal((20, 1))
+    paths = _write_instance(tmp_path, A, [0.5], rng.standard_normal(20))
+    args = (paths if command == "estimate"
+            else [paths[0], "--out", str(tmp_path / "t.csv")])
+    assert main([command, *args, "--sketch", "sparse-sign"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sparse-sign sketch needs at least 8 rows, got 6" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--norm-a2", "2.5"]],

@@ -14,12 +14,14 @@ from scipy.sparse.linalg import aslinearoperator
 
 import lsbe.core
 from lsbe import (LSProblem, MatrixOperator, compress_pair, kw_factorization,
-                  kw_factorization_pair, mu_exact, weighted_residual)
+                  mu_exact, weighted_residual)
 from lsbe.errors import DimensionMismatch, RankDeficient, ShiftNotPD
 from lsbe.sketch import SketchOperator, apply_sketch
 from lsbe.pencil import tr_minus
 
 from conftest import random_orthogonal
+
+pytestmark = pytest.mark.threaded_blas
 
 EPS = np.finfo(float).eps
 
@@ -411,35 +413,3 @@ def test_in_place_qr_bit_identical_to_numpy_qr():
     subprocess.run([sys.executable, "-c", "import test_core; "
                     "test_core.check_in_place_qr_bit_identical()"],
                    env=env, check=True)
-
-
-@pytest.mark.parametrize("kind, rows", [("sparse_sign", 900),
-                                        ("gaussian", 900)])
-def test_kw_factorization_pair_matches_sequential_calls(rng, kind, rows):
-    A = _sketch_pair(rng, 2000, 150, sparse=True)
-    S = SketchOperator(kind=kind, rows=rows, cols=2000, seed=4)
-    before = threading.active_count()
-    pair = kw_factorization_pair(A, S)
-    assert threading.active_count() == before
-    for got, ref in zip(pair, (kw_factorization(A, sketch=S),
-                               kw_factorization(A))):
-        assert np.array_equal(got.singular_values, ref.singular_values)
-        assert np.array_equal(got.right_vectors, ref.right_vectors)
-
-
-@pytest.mark.parametrize("side", ["sketch", "exact"])
-def test_kw_factorization_pair_reraises(rng, monkeypatch, side):
-    A = _sketch_pair(rng, 300, 10, sparse=True)
-    S = SketchOperator(kind="sparse_sign", rows=60, cols=300, seed=1)
-    original = lsbe.core.kw_factorization
-
-    def failing(M, sketch=None):
-        if (sketch is None) == (side == "exact"):
-            raise RuntimeError(f"{side} side failed")
-        return original(M, sketch=sketch)
-
-    monkeypatch.setattr(lsbe.core, "kw_factorization", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{side} side failed"):
-        kw_factorization_pair(A, S)
-    assert threading.active_count() == before

@@ -16,6 +16,8 @@ from lsbe.errors import (ColumnsNotOrthonormal, DimensionMismatch,
 
 from conftest import random_orthonormal
 
+pytestmark = pytest.mark.threaded_blas
+
 
 def test_optimal_pq_ones():
     wit = optimal_pq(np.array([[1.0]]), np.array([[1.0]]))

@@ -46,6 +46,7 @@ def test_rank_one_single_zero_is_fine():
     assert mu_rank_one([0.0, 0.0], [1.0, 2.0]) == 0.0
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("m", [1, 3, 7, 40])
 def test_rank_one_stack_matches_single_pairs_bitwise(rng, m):
     # Stacks (T, G, k, m) against r broadcast over G, contiguous and as the
@@ -274,6 +275,7 @@ def _assert_rows_close(got, ref, rtol=1e-14):
         assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("k", [1, 9, 40])
 def test_stacked_solve_and_refine_match_single_calls(rng, k):
     # One batched solve (and refinement step) over k right-hand sides
@@ -296,6 +298,7 @@ def test_stacked_solve_and_refine_match_single_calls(rng, k):
     _assert_rows_close(refined, single_refined)
 
 
+@pytest.mark.threaded_blas
 def test_stacked_refine_checks_every_shift_before_products(rng):
     A, kwf, R, norms, P = _stack_problem(rng, 5)
     mu_est = np.zeros(5)

@@ -10,6 +10,8 @@ import lsbe.exact
 from lsbe import (kw_factorization, mu_all_methods, mu_exact, mu_fixed_point,
                   mu_gevp, mu_sigma_min)
 
+pytestmark = pytest.mark.threaded_blas
+
 EPS = np.finfo(float).eps
 
 

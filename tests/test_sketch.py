@@ -11,6 +11,8 @@ from lsbe.errors import RankDeficient, ShapeMismatch
 from lsbe.sketch import (SketchOperator, _sparse_sign_matrix, apply_sketch,
                          measure_distortion, sketch_rows)
 
+pytestmark = pytest.mark.threaded_blas
+
 
 def test_identity_bitwise(rng):
     V = rng.standard_normal((7, 3))
@@ -36,10 +38,8 @@ def test_invalid_kind():
     ({"kind": "gaussian", "rows": 0, "cols": 4}, "positive"),
     ({"kind": "gaussian", "rows": 4, "cols": 0}, "positive"),
     ({"kind": "identity", "rows": 4, "cols": 5}, "rows == cols"),
-    ({"kind": "sparse_sign", "rows": 4, "cols": 6, "nnz_per_col": 0},
-     "nnz_per_col"),
-    ({"kind": "sparse_sign", "rows": 4, "cols": 6, "nnz_per_col": 5},
-     "nnz_per_col"),
+    ({"kind": "sparse_sign", "rows": 7, "cols": 6}, "at least 8 rows, got 7"),
+    ({"kind": "sparse_sign", "rows": 1, "cols": 6}, "at least 8 rows, got 1"),
     ({"kind": "synthetic_eta", "rows": 6, "cols": 6, "eta": -0.1}, "eta"),
     ({"kind": "synthetic_eta", "rows": 6, "cols": 6, "eta": 1.0}, "eta"),
     ({"kind": "synthetic_eta", "rows": 5, "cols": 6}, "rows >= cols"),
@@ -161,8 +161,7 @@ def test_gaussian_determinism(rng):
 
 
 def test_sparse_sign_structure():
-    S = SketchOperator(kind="sparse_sign", rows=50, cols=20, seed=1,
-                       nnz_per_col=8)
+    S = SketchOperator(kind="sparse_sign", rows=50, cols=20, seed=1)
     M = _sparse_sign_matrix(S).toarray()
     assert M.shape == (50, 20)
     counts = (M != 0).sum(axis=0)
@@ -179,8 +178,7 @@ def test_sparse_sign_determinism(rng):
 
 def test_sparse_sign_distortion_moderate(rng):
     A = rng.standard_normal((200, 10))
-    S = SketchOperator(kind="sparse_sign", rows=120, cols=200, seed=4,
-                       nnz_per_col=8)
+    S = SketchOperator(kind="sparse_sign", rows=120, cols=200, seed=4)
     lo, hi = measure_distortion(S, A, trials=100, seed=0)
     assert max(abs(lo), abs(hi)) <= 0.6
 

@@ -322,6 +322,7 @@ def test_true_mu_spends_no_counted_products(rng):
     assert all(math.isfinite(r.mu_true) for r in runs[True])
 
 
+@pytest.mark.threaded_blas
 def test_lsmr_takes_the_exact_factorization(rng, monkeypatch):
     A, b = _ls_problem(rng)
     A = sp.csc_matrix(A)
@@ -499,6 +500,7 @@ def _with_stop(stop_when):
     return run
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("true_mu", [False, True])
 @pytest.mark.parametrize("stop", [False, True])
@@ -557,6 +559,7 @@ def _blocked_problem(rng):
     return A, rng.standard_normal(240), _sketch_kwf(A, factor=3)
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("steps", [1, 2])
 def test_blocked_rows_match_blocks_of_one(rng, every, steps):
@@ -582,6 +585,7 @@ def test_blocked_rows_match_blocks_of_one(rng, every, steps):
                                                abs=0)
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("threshold", [40, 64])
 def test_blocks_do_not_depend_on_when_factorizations_land(rng, monkeypatch,
                                                           threshold):
@@ -599,6 +603,7 @@ def test_blocks_do_not_depend_on_when_factorizations_land(rng, monkeypatch,
     assert threshold <= got[1].factored_at_iter < got[1].iterations
 
 
+@pytest.mark.threaded_blas
 def test_tall_problem_evaluates_rows_one_by_one(rng):
     # 2 * 300 > 16^2: a block of two would keep more than n^2 floats of
     # residuals, so rows run one by one, bit for bit as with stop_when.
@@ -611,6 +616,7 @@ def test_tall_problem_evaluates_rows_one_by_one(rng):
                                stop_when=lambda row: False))
 
 
+@pytest.mark.threaded_blas
 def test_rows_of_one_reproduce_estimate_bounds(rng):
     # Every row evaluated on its own is the estimator suite on its
     # iterate, with the direction the recycle policy kept.
@@ -679,6 +685,32 @@ def test_ready_factorizations_land_at_iteration_zero(rng):
     assert got[1].factored_at_iter == ref[1].factored_at_iter == 0
 
 
+@pytest.mark.threaded_blas
+@pytest.mark.parametrize("kind, rows", [("sparse_sign", 900),
+                                        ("gaussian", 900)])
+def test_factorizations_match_sequential_calls(rng, kind, rows):
+    # The pool's results are bit for bit the calls' own, and the pool is
+    # gone once the block is left.  A Gaussian sketch of 900 rows streams
+    # in four blocks, drawn on a helper thread of its own.
+    A = sp.random(2000, 150, density=0.05, format="csc",
+                  random_state=np.random.RandomState(int(rng.integers(1e6))))
+    A = sp.csc_matrix((A + sp.eye(2000, 150))
+                      @ sp.diags(np.logspace(0, -3, 150)))
+    S = SketchOperator(kind=kind, rows=rows, cols=2000, seed=4)
+    with lsbe.solver._factorizations(A, S, exact=True) as futures:
+        got = [f.result() for f in futures]
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("lsbe-") and t.is_alive()]
+    for kwf, ref in zip(got, (kw_factorization(A, sketch=S),
+                              kw_factorization(A))):
+        assert np.array_equal(kwf.singular_values, ref.singular_values)
+        assert np.array_equal(kwf.right_vectors, ref.right_vectors)
+    with lsbe.solver._factorizations(A, S, exact=False) as (kwf, exact):
+        assert exact is None
+        assert np.array_equal(kwf.result().right_vectors,
+                              got[0].right_vectors)
+
+
 def _lsbe_threads_end():
     for thread in threading.enumerate():
         if thread.name.startswith("lsbe-"):
@@ -701,6 +733,7 @@ def _long_graded_run(rng, true_mu):
     return A, b, S, config
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("true_mu", [False, True])
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, KeyboardInterrupt])
 def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
@@ -727,6 +760,7 @@ def test_failed_factorization_stops_the_recurrence(rng, monkeypatch, true_mu,
     assert 50 <= ops.matvecs < 10 ** 4
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("true_mu", [False, True])
 def test_interrupt_stops_the_recurrence(rng, monkeypatch, true_mu):
     # Ctrl-C once the factorization futures are done: the recurrence must
