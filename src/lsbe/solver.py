@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -182,8 +183,10 @@ def recycle_policy(row: TraceRow, config: SolverConfig) -> str:
     """Decide whether a recycled direction is still useful.
 
     Recompute when the recycled bound, relative to ||A||_2, has fallen
-    below the configured threshold; keep otherwise.  config.norm_A_2 must
-    be resolved (the solver always passes a resolved config).
+    below the configured threshold; keep otherwise.  Only row.lb_recycled
+    is read, so row may be any object with it (the solver passes a row's
+    estimator values before the row is built).  config.norm_A_2 must be
+    resolved (the solver always passes a resolved config).
     """
     if config.norm_A_2 is None:
         raise ValueError("recycle_policy needs a resolved norm_A_2")
@@ -216,41 +219,6 @@ ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
                     "ub_deflation", "ub_generous")
 
 
-@dataclass(eq=False)
-class _Refinement:
-    """The refinement of one row's lower-bound direction: lb_refine's
-    inputs, then the lb_refined value and the products _refine spent."""
-
-    p_tilde: np.ndarray
-    r_theta: np.ndarray
-    norm_r_theta: float
-    mu_est: float
-    lb_refined: float = math.nan
-    matvecs: int = 0
-    rmatvecs: int = 0
-
-
-def _refine(ops, kwf: KWFactorization, jobs: list[_Refinement],
-            steps: int) -> None:
-    """Refine the directions of a block of rows together.  Each step is
-    one lb_refine on the stack: a matvec and an rmatvec per row, then one
-    batched solve with kwf for the whole block.  Each refined direction
-    is then evaluated with one matvec (none when it is zero)."""
-    P = np.stack([job.p_tilde for job in jobs])
-    R = np.stack([job.r_theta for job in jobs])
-    norms = [job.norm_r_theta for job in jobs]
-    mu_ests = [job.mu_est for job in jobs]
-    for _ in range(steps):
-        P = lb_refine(P, kwf, ops, R, norms, mu_ests)
-    for job, q in zip(jobs, P):
-        job.matvecs += steps
-        job.rmatvecs += steps
-        nq = float(np.linalg.norm(q))
-        if nq > 0.0:
-            job.matvecs += 1
-            job.lb_refined = mu_rank_one(ops.matvec(q / nq), job.r_theta)
-
-
 def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
                     At_r_theta, mu_est: float = 0.0, refine_steps: int = 0,
                     direction: RecycledDirection | None = None, itn: int = 0):
@@ -264,24 +232,68 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     fresh when direction is None.  Products go through ops; norm_r_theta
     is passed in so callers keep their own rounding of ||r_theta||.
 
-    This is lsmr's pipeline on a block of one row, and gives that row bit
-    for bit.  lsmr refines the directions of a block of rows with one
-    batched solve per step, so there lb_refined may move in its last bits
-    (see lsmr); every other value is computed per row.
+    This is lsmr's estimator pass on a block of one row, and gives that
+    row bit for bit.  lsmr refines the directions of a block of rows with
+    one batched solve per step, so there lb_refined may move in its last
+    bits (see lsmr); every other value is computed per row.
     """
-    values, fresh, job = _unrefined_bounds(ops, kwf, r_theta, norm_r_theta,
-                                           At_r_theta, mu_est, direction, itn)
-    if refine_steps > 0 and job is not None:
-        _refine(ops, kwf, [job], refine_steps)
-        values["lb_refined"] = job.lb_refined
+    (values,), _, fresh = _estimate_rows(
+        ops, kwf, [r_theta], [norm_r_theta], [At_r_theta], [itn],
+        refine_steps, direction, mu_est=mu_est)
     return values, fresh
 
 
-def _unrefined_bounds(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
-                      direction, itn):
-    """estimate_bounds but for the refinement: returns (values, fresh,
-    job) with values["lb_refined"] NaN, and job the _Refinement of the
-    fresh direction (None without one)."""
+def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
+                   refine_steps: int, direction: RecycledDirection | None,
+                   config: SolverConfig | None = None, mu_est: float = 0.0):
+    """The estimator suite on a block of weighted residuals R (with their
+    norms, A'R rows and iterations), in one pass.
+
+    Each row in turn gets its _estimate_row work, then the recycle
+    decision, so the next row sees the direction carried on: with config,
+    as recycle_policy decides, else the row's own fresh direction (None
+    without one).  Then each refinement step is one lb_refine on the stack
+    of the rows' directions (a matvec and an rmatvec per row, and one
+    batched solve with kwf), and each refined direction is evaluated with
+    one matvec (none when it is zero).  Returns (values, spent, direction):
+    per row a dict over ESTIMATE_COLUMNS and the (matvecs, rmatvecs) its
+    estimates cost, and the direction carried out of the block.
+    """
+    values, spent, refined = [], [], []  # refined: (row, lb_refine's inputs)
+    for r_theta, norm_r_theta, At_r_theta, itn in zip(R, norms, At_R, itns):
+        row, fresh, p_tilde, products = _estimate_row(
+            ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est, direction,
+            itn)
+        if fresh is not None:
+            refined.append((len(values), p_tilde, r_theta, norm_r_theta,
+                            fresh.mu_est_used))
+        values.append(row)
+        spent.append(products)
+        if config is None or (fresh is not None and (
+                direction is None or recycle_policy(
+                    SimpleNamespace(**row), config) == "recompute")):
+            direction = fresh
+    if refine_steps > 0 and refined:
+        at, P, Rr, norms_r, mu_ests = zip(*refined)
+        P, Rr = np.stack(P), np.stack(Rr)
+        for _ in range(refine_steps):
+            P = lb_refine(P, kwf, ops, Rr, norms_r, mu_ests)
+        for i, q in zip(at, P):
+            nq = float(np.linalg.norm(q))
+            if nq > 0.0:
+                values[i]["lb_refined"] = mu_rank_one(ops.matvec(q / nq),
+                                                      R[i])
+            spent[i] = (spent[i][0] + refine_steps + (nq > 0.0),
+                        spent[i][1] + refine_steps)
+    return values, spent, direction
+
+
+def _estimate_row(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
+                  direction, itn):
+    """One row's estimator work, all but the refinement: returns (values,
+    fresh, p_tilde, spent) with values["lb_refined"] NaN, fresh the new
+    RecycledDirection (None when the direction solve returned zero),
+    p_tilde that solve's direction and spent its (matvecs, rmatvecs)."""
     values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
     At_r_theta = np.asarray(At_r_theta, dtype=float).ravel()
     z = kwf.coordinates(At_r_theta)  # shared by nu and the direction
@@ -302,53 +314,21 @@ def _unrefined_bounds(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
                              else mu_rank_one(recycled.Ap, r_theta))
     if fresh is None:
         values["lb_fresh"] = 0.0
-        return values, None, None
+        return values, None, p_tilde, (0, 0)
     Ap = fresh.Ap
     values["lb_fresh"] = mu_rank_one(Ap, r_theta)
+    rmatvecs = 0
     u_def = Ap - r_theta
     if float(np.linalg.norm(u_def)) > 0.0:
+        rmatvecs += 1
         values["ub_deflation"] = ub_deflation(u_def, r_theta,
                                               ops.rmatvec(u_def))
     if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
         U = pair_basis(Ap, r_theta)
+        rmatvecs += U.shape[1]
         rows_UA = np.stack([ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
         values["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
-    return values, fresh, _Refinement(p_tilde, r_theta, norm_r_theta, mu_est)
-
-
-def _estimate_row(itn, ops, b, x, config, kwf, direction, true_mu):
-    """Refresh the residual and evaluate a row's estimator suite, all but
-    the refinement.  Returns (row, direction, job): row has lb_refined NaN
-    and counts 0 until its block fills them in, job is its _Refinement
-    (None when there is none), and direction may have been replaced per
-    the recycle policy."""
-    r = b - ops.matvec(x)
-    norm_r = float(np.linalg.norm(r))
-    At_r = ops.rmatvec(r)
-    norm_Atr = float(np.linalg.norm(At_r))
-    cth = theta_scale(config.theta, float(np.linalg.norm(x)))
-
-    values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
-    mu_t = norm_rth = math.nan
-    fresh: RecycledDirection | None = None
-    job = None
-    if math.isfinite(cth):
-        r_th = cth * r
-        norm_rth = cth * norm_r
-        if true_mu is not None:
-            mu_t = true_mu(r_th)
-        if kwf is not None:
-            values, fresh, job = _unrefined_bounds(
-                ops, kwf, r_th, norm_rth, cth * At_r, 0.0, direction, itn)
-
-    row = TraceRow(
-        iter=itn, norm_r=norm_r, norm_Atr=norm_Atr, norm_r_theta=norm_rth,
-        mu_true=mu_t, matvec_count=0, rmatvec_count=0, **values)
-
-    if fresh is not None and (direction is None
-                              or recycle_policy(row, config) == "recompute"):
-        direction = fresh
-    return row, direction, job
+    return values, fresh, p_tilde, (1, rmatvecs)
 
 
 def _checked_rhs(b, m: int) -> np.ndarray:
@@ -387,13 +367,13 @@ class _Rows:
     block size is ROW_BLOCK, capped so that the residuals a block keeps
     for its refinement hold no more than n x n floats (block * m <= n^2,
     and at least 1); it is 1 without refinement, which has nothing to
-    batch, and with stop_when.  The rows of a block run in order, each
-    with its own products and the recycle decision, then one _refine
-    refines the block.  ops is the estimator suite's own operator, and
-    each row's products are tallied per row, so a row's counts are the
-    recurrence's at its iteration plus every product the suite has spent
-    up to and including the row: what one shared operator counts when
-    each row is evaluated as it falls due.
+    batch, and with stop_when.  A block refreshes each row's residual
+    (and its true mu), then runs one _estimate_rows pass on the weighted
+    residuals.  ops is the estimator suite's own operator, and a row's
+    counts are the recurrence's at its iteration plus the running sum of
+    the products of every row evaluated up to and including it (its
+    refresh and what _estimate_rows returns for it): what one shared
+    operator counts when each row is evaluated as it falls due.
     """
 
     def __init__(self, ops, b, config, kwf, exact, stop_when, trace):
@@ -404,6 +384,7 @@ class _Rows:
         self.true_mu = None
         self.kept = []  # (itn, x, recurrence counts) of unevaluated rows
         self.direction: RecycledDirection | None = None
+        self.spent = (0, 0)  # products of the rows evaluated so far
         m, n = ops.shape
         self.block = (1 if config.refine_steps == 0 or stop_when is not None
                       else max(1, min(ROW_BLOCK, n * n // m)))
@@ -457,28 +438,42 @@ class _Rows:
             self._evaluate(block)
 
     def _evaluate(self, block) -> None:
+        """Refresh the residual of each row of block, run the estimator
+        pass on the weighted ones, and append the rows."""
         start = time.perf_counter()
-        ops = self.ops
-        spent_mv, spent_rmv = ops.matvecs, ops.rmatvecs  # before the block
-        evaluated = []  # (row, job, its own matvecs, rmatvecs) per row
+        ops, config = self.ops, self.config
+        rows, weighted = [], []  # weighted: _estimate_rows's inputs
         for itn, x, _ in block:
-            mv, rmv = ops.matvecs, ops.rmatvecs
-            row, self.direction, job = _estimate_row(
-                itn, ops, self.b, x, self.config, self.kwf, self.direction,
-                self.true_mu)
-            evaluated.append((row, job, ops.matvecs - mv, ops.rmatvecs - rmv))
-        jobs = [job for _, job, _, _ in evaluated if job is not None]
-        if jobs and self.config.refine_steps > 0:
-            _refine(ops, self.kwf, jobs, self.config.refine_steps)
-        for (_, _, counts), (row, job, mv, rmv) in zip(block, evaluated):
-            lb_refined = math.nan
-            if job is not None:
-                lb_refined = job.lb_refined
-                mv, rmv = mv + job.matvecs, rmv + job.rmatvecs
-            spent_mv, spent_rmv = spent_mv + mv, spent_rmv + rmv
+            r = self.b - ops.matvec(x)
+            norm_r = float(np.linalg.norm(r))
+            At_r = ops.rmatvec(r)
+            norm_Atr = float(np.linalg.norm(At_r))
+            cth = theta_scale(config.theta, float(np.linalg.norm(x)))
+            mu_t = norm_rth = math.nan
+            if math.isfinite(cth):
+                r_th = cth * r
+                norm_rth = cth * norm_r
+                if self.true_mu is not None:
+                    mu_t = self.true_mu(r_th)
+                weighted.append((len(rows), itn, r_th, norm_rth, cth * At_r))
+            rows.append(TraceRow(
+                iter=itn, norm_r=norm_r, norm_Atr=norm_Atr,
+                norm_r_theta=norm_rth, mu_true=mu_t, matvec_count=0,
+                rmatvec_count=0, **dict.fromkeys(ESTIMATE_COLUMNS, math.nan)))
+        spent = [(1, 1)] * len(rows)  # the refresh
+        if weighted and self.kwf is not None:
+            at, itns, R, norms, At_R = zip(*weighted)
+            values, products, self.direction = _estimate_rows(
+                ops, self.kwf, R, norms, At_R, itns, config.refine_steps,
+                self.direction, config)
+            for i, v, (mv, rmv) in zip(at, values, products):
+                rows[i] = replace(rows[i], **v)
+                spent[i] = (1 + mv, 1 + rmv)
+        for (_, _, counts), row, (mv, rmv) in zip(block, rows, spent):
+            self.spent = (self.spent[0] + mv, self.spent[1] + rmv)
             self.trace.rows.append(replace(
-                row, lb_refined=lb_refined, matvec_count=counts[0] + spent_mv,
-                rmatvec_count=counts[1] + spent_rmv))
+                row, matvec_count=counts[0] + self.spent[0],
+                rmatvec_count=counts[1] + self.spent[1]))
         self.trace.row_blocks += 1
         self.trace.row_s += time.perf_counter() - start
 
@@ -503,14 +498,16 @@ def lsmr(A, b, config: SolverConfig | None = None,
 
     With refinement and no stop_when, due rows are evaluated in blocks of
     up to ROW_BLOCK consecutive rows (fewer when block * m would exceed
-    n^2, so the residuals a block keeps stay within one n x n factor), and
-    each refinement step solves for the whole block with one gemm, which
-    sums in another order than a row's own solve.  So lb_refined may move
-    against evaluating each row on its own, as estimate_bounds does, by
-    about one rounding of ||r_theta||: below 1e-15 relative unless mu is
-    far below ||r_theta||, where a'r cancels and the relative change
-    grows (up to 2.4e-9 at mu/||r_theta|| = 1e-8).  Every other column
-    and every count is computed per row and is bit for bit the same.
+    n^2, so the residuals a block keeps stay within one n x n factor).  A
+    block is one estimator pass: each row's own estimates and recycle
+    decision in turn, then each refinement step for the whole block with
+    one gemm, which sums in another order than a row's own solve.  So
+    lb_refined may move against evaluating each row on its own, as
+    estimate_bounds does, by about one rounding of ||r_theta||: below
+    1e-15 relative unless mu is far below ||r_theta||, where a'r cancels
+    and the relative change grows (up to 2.4e-9 at mu/||r_theta|| =
+    1e-8).  Every other column and every count is computed per row and
+    is bit for bit the same.
     Blocks are counted from the first row, so rows do not depend on when
     futures land.  Returns (x, trace, stop_reason) with stop_reason one
     of "converged" (the ||A'r|| test fired), "estimator" (stop_when

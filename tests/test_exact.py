@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lsbe.exact
 from lsbe import (kw_factorization, mu_all_methods, mu_exact, mu_fixed_point,
                   mu_gevp, mu_sigma_min)
+from lsbe.errors import NoConvergence
 
 pytestmark = pytest.mark.threaded_blas
 
@@ -137,6 +138,15 @@ def test_mu_fixed_point_wide_and_rank_deficient(rng, m, n, rank, sparse):
         assert abs(mu - ref) <= _attainable(A, r, ref), (delta, mu, ref)
 
 
+
+def test_mu_fixed_point_raises_when_iterations_run_out():
+    # This pair needs 3 Newton iterations.
+    rng = np.random.default_rng(0)
+    A, r = rng.standard_normal((40, 5)), rng.standard_normal(40)
+    with pytest.raises(NoConvergence, match="did not converge in 1 "):
+        mu_fixed_point(A, r, max_iters=1)
+
+
 def test_mu_gevp_ones_regularized():
     # [A, r] is rank one, so this path exercises the diagonal Gram shift;
     # the induced error is of the order of the square root of the shift.
@@ -155,6 +165,25 @@ def test_mu_gevp_random(rng):
     r = rng.standard_normal(10)
     ref = mu_exact(A, r[:, None]).mu
     assert mu_gevp(A, r).mu == pytest.approx(ref, rel=1e-8)
+
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="mu^2 = lambda_neg + ||r||^2 cancels when "
+                          "mu/||r|| = 1.5e-4: mu_gevp clamps to 0")
+def test_mu_gevp_small_mu_over_residual():
+    # ||r|| = 3.27e3, sigma_min(A) = 4.4e-3, and mu_fixed_point and
+    # mu_sigma_min agree at 0.48631296 to 1.3e-13.
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((300, 30)))[0]
+    V = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    s = np.logspace(np.log10(7), np.log10(7 / 1600), 30)
+    A = U @ np.diag(s) @ V.T
+    x = 1e-3 * rng.standard_normal(30)
+    b = rng.standard_normal(300)
+    r = (b - A @ x) / np.linalg.norm(x)
+    assert mu_gevp(A, r).mu == pytest.approx(mu_fixed_point(A, r).mu,
+                                             rel=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,8 +13,10 @@ import scipy.sparse as sp
 import lsbe.core
 import lsbe.solver
 from lsbe import (MatrixOperator, SolverConfig, TraceRow, estimate_bounds,
-                  kw_factorization, lsmr, mu_rank_one, recycle_policy)
+                  kw_factorization, lsmr, mu_exact, mu_rank_one,
+                  recycle_policy)
 from lsbe.core import theta_scale
+from lsbe.errors import NoConvergence
 from lsbe.estimates import RecycledDirection
 from lsbe.fileio import read_trace_csv
 from lsbe.solver import ESTIMATE_COLUMNS, TRACE_COLUMNS, _TrueMu
@@ -277,6 +279,37 @@ def test_estimate_bounds_zero_direction(rng):
     assert values["lb_recycled"] == mu_rank_one(A @ p, r)
 
 
+
+def test_block_mixes_rows_with_and_without_a_direction(rng):
+    # The middle residual has A'r = 0, so no direction: it spends nothing,
+    # and the rows around it spend what each spends on its own.
+    A, r, kwf, _, _ = _bounds_args(rng)
+    Q = np.linalg.qr(A)[0]
+    r_perp = r - Q @ (Q.T @ r)
+    R = [rng.standard_normal(60), r_perp, rng.standard_normal(60)]
+    At_R = [A.T @ R[0], np.zeros(5), A.T @ R[2]]
+    norms = [float(np.linalg.norm(ri)) for ri in R]
+    config = SolverConfig(refine_steps=2, norm_A_2=1.0)
+    ops = MatrixOperator(A)
+    values, spent, _ = lsbe.solver._estimate_rows(
+        ops, kwf, R, norms, At_R, [1, 2, 3], 2, None, config)
+    assert spent[1] == (0, 0)
+    assert values[1]["nu_sketched"] == values[1]["lb_fresh"] == 0.0
+    assert all(math.isnan(values[1][k]) for k in
+               ("lb_refined", "ub_deflation", "ub_generous"))
+    assert tuple(map(sum, zip(*spent))) == (ops.matvecs, ops.rmatvecs)
+    for i in (0, 2):
+        alone = MatrixOperator(A)
+        ref, _ = estimate_bounds(alone, kwf, R[i], norms[i], At_R[i],
+                                 refine_steps=2, itn=i + 1)
+        assert spent[i] == (alone.matvecs, alone.rmatvecs)
+        for name in ("nu_sketched", "lb_fresh", "ub_deflation",
+                     "ub_generous"):
+            assert values[i][name] == ref[name], (i, name)
+        assert values[i]["lb_refined"] == pytest.approx(
+            ref["lb_refined"], rel=1e-14, abs=0)
+
+
 def test_trace_soundness_small(rng):
     A, b = _ls_problem(rng, m=150, n=12)
     config = SolverConfig(estimate_every=1, refine_steps=1,
@@ -355,6 +388,16 @@ def test_true_mu_keeps_no_m_row_array(rng, sparse):
     assert not [v.shape for v in held
                 if isinstance(v, np.ndarray) and v is not A
                 and v.shape[0] == m]
+
+
+
+def test_true_mu_falls_back_to_the_eigenvalue_route(rng, monkeypatch):
+    A, r = rng.standard_normal((40, 5)), rng.standard_normal(40)
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("secular equation did not converge")
+    monkeypatch.setattr(lsbe.solver, "mu_fixed_point", no_convergence)
+    assert _TrueMu(A)(r) == mu_exact(A, r).mu
 
 
 def test_mu_true_matches_direct_computation(rng):
