@@ -19,11 +19,11 @@ import scipy.sparse as sp
 
 from .core import LSProblem, MatrixOperator, weighted_residual
 from .decomposition import _feasible_values, brute_force_max, optimal_pq
-from .estimates import kw, kw_factorization, lb_direction, mu_rank_one
+from .estimates import kw, kw_factorization, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
 from .sketch import SketchOperator, measure_distortion, sketch_rows
-from .solver import (SolverConfig, _lsmr_beside_factorization,
+from .solver import (SolverConfig, _estimate_row, _lsmr_beside_factorization,
                      _power_spectral_norm)
 
 GL7D12_SHAPE = (8899, 1019)
@@ -58,8 +58,8 @@ def _random_instance(rng, m_range=(5, 60), n_range=(1, 20)):
     return A, wr.Rtheta[:, 0]
 
 
-def criterion_four_way(n_instances: int = 200, seed: int = 0,
-                       rtol: float = 1e-8) -> CriterionResult:
+def criterion_four_way(n_instances: int = 200, seed: int = 0
+                       ) -> CriterionResult:
     """All four exact routes agree pairwise on random single-RHS instances."""
     rng = np.random.default_rng([0xAC01, seed])
     t0 = time.perf_counter()
@@ -73,8 +73,8 @@ def criterion_four_way(n_instances: int = 200, seed: int = 0,
         worst = max(worst, spread)
     elapsed = time.perf_counter() - t0
     return CriterionResult(
-        "four-way-exact-agreement", worst <= rtol,
-        f"worst_pairwise_rel={worst:.3e} tol={rtol:.0e} "
+        "four-way-exact-agreement", worst <= 1e-8,
+        f"worst_pairwise_rel={worst:.3e} tol=1e-08 "
         f"instances={n_instances} time={elapsed:.1f}s")
 
 
@@ -137,8 +137,8 @@ def criterion_rank_one(n_pairs: int = 1000, n_stress: int = 200,
 def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
                          seed: int = 0,
                          inject_failure: bool = False) -> CriterionResult:
-    """The direction from the exact shifted system attains mu; random unit
-    directions never exceed it."""
+    """lsmr's lower-bound step, unsketched with mu_est = mu, attains mu (a
+    reset or zero direction fails); random unit directions never exceed it."""
     rng = np.random.default_rng([0xAC03, seed])
     worst_attain = 0.0
     worst_excess = -math.inf
@@ -151,13 +151,13 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         mu = mu_exact(A, r).mu
         if inject_failure:
             mu *= 0.5
-        kwf = kw_factorization(A)
-        At_r = A.T @ r
-        norm_r = float(np.linalg.norm(r))
-        p_star = lb_direction(kwf, At_r, norm_r, mu_est=mu)
-        p_star /= np.linalg.norm(p_star)
-        lb = mu_rank_one(A @ p_star, r)
-        worst_attain = max(worst_attain, abs(lb - mu) / max(mu, 1e-300))
+        values, fresh, _, _ = _estimate_row(
+            MatrixOperator(A), kw_factorization(A), r,
+            float(np.linalg.norm(r)), A.T @ r, mu, None, 0)
+        attained = fresh is not None and fresh.mu_est_used == mu
+        worst_attain = max(worst_attain, (
+            abs(values["lb_fresh"] - mu) / max(mu, 1e-300) if attained
+            else math.inf))
 
         P = rng.standard_normal((n, draws_per))
         P /= np.linalg.norm(P, axis=0)
@@ -239,20 +239,18 @@ def criterion_kw_chain(n_instances: int = 200, seed: int = 0
 
 def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
                           seed: int = 0) -> CriterionResult:
-    """Sketched lower bound with mu_est = 0 meets its distortion guarantee
-    ((1 - eta^2)/(1 + eta^2)) nu, for synthetic sketches of exactly known
-    distortion and Gaussian sketches with measured distortion."""
+    """lsmr's lower-bound step with mu_est = 0 meets its distortion
+    guarantee ((1 - eta^2)/(1 + eta^2)) nu, for synthetic sketches of
+    exactly known distortion and Gaussian sketches with measured distortion."""
     rng = np.random.default_rng([0xAC06, seed])
     t0 = time.perf_counter()
     worst_margin = math.inf
 
     def lb_for(A, r, S):
-        kwf = kw_factorization(A, sketch=S)
-        p = lb_direction(kwf, A.T @ r, float(np.linalg.norm(r)), 0.0)
-        np_t = float(np.linalg.norm(p))
-        if np_t == 0.0:
-            return 0.0
-        return mu_rank_one(A @ (p / np_t), r)
+        values, _, _, _ = _estimate_row(
+            MatrixOperator(A), kw_factorization(A, sketch=S), r,
+            float(np.linalg.norm(r)), A.T @ r, 0.0, None, 0)
+        return values["lb_fresh"]
 
     for eta in (0.1, 0.3, 0.5):
         guarantee = (1.0 - eta ** 2) / (1.0 + eta ** 2)

@@ -163,9 +163,9 @@ def ub_generous(A_cols_2, Ur) -> float:
     return mu_exact(A_cols_2, np.ravel(Ur)).mu
 
 
-def pair_basis(Ap, r_theta, tol: float = TOL_RANK) -> np.ndarray:
+def pair_basis(Ap, r_theta) -> np.ndarray:
     """Orthonormal basis (m x 1 or m x 2) for span{Ap, r_theta}, dropping
-    a column when the pair is numerically rank one."""
+    a column when the pair is rank one to within TOL_RANK."""
     a = np.asarray(Ap, dtype=float).ravel()
     r = np.asarray(r_theta, dtype=float).ravel()
     na = float(np.linalg.norm(a))
@@ -177,7 +177,7 @@ def pair_basis(Ap, r_theta, tol: float = TOL_RANK) -> np.ndarray:
     q1 = a / na
     w = r - q1 * float(q1 @ r)
     nw = float(np.linalg.norm(w))
-    if nw <= tol * max(na, nr):
+    if nw <= TOL_RANK * max(na, nr):
         return q1[:, None]
     return np.column_stack([q1, w / nw])
 

@@ -199,13 +199,13 @@ def mu_gevp(A, r_theta) -> MuResult:
                     regularization_eps=eps)
 
 
-def mu_all_methods(A, r_theta, tol: float = 1e-12) -> dict[str, MuResult]:
+def mu_all_methods(A, r_theta) -> dict[str, MuResult]:
     """All four exact routes on a single-right-hand-side pair."""
     r = _as_vector(r_theta)
     return {
         "eig": mu_exact(A, r),
         "sigma_min": mu_sigma_min(A, r),
-        "fixed_point": mu_fixed_point(A, r, tol=tol),
+        "fixed_point": mu_fixed_point(A, r),
         "gevp": mu_gevp(A, r),
     }
 

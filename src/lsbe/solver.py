@@ -160,9 +160,9 @@ def _frobenius_norm(A) -> float | None:
     return None
 
 
-def _power_spectral_norm(ops: MatrixOperator, steps: int = 20) -> float:
-    """Spectral norm estimate by power iteration on A'A (seeded, so runs
-    are reproducible)."""
+def _power_spectral_norm(ops: MatrixOperator) -> float:
+    """Spectral norm estimate by 20 steps of power iteration on A'A
+    (seeded, so runs are reproducible)."""
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(ops.shape[1])
     nv = np.linalg.norm(v)
@@ -170,7 +170,7 @@ def _power_spectral_norm(ops: MatrixOperator, steps: int = 20) -> float:
         return 0.0
     v /= nv
     sigma2 = 0.0
-    for _ in range(steps):
+    for _ in range(20):
         w = ops.rmatvec(ops.matvec(v))
         sigma2 = float(np.linalg.norm(w))
         if sigma2 == 0.0:
@@ -226,7 +226,7 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
 
     Returns (values, fresh): values maps each name in ESTIMATE_COLUMNS to a
     float (NaN when not computed), and fresh is the new RecycledDirection
-    (None when the direction solve returned zero).  The direction solve
+    (None when the direction is zero).  The direction solve
     resets mu_est to 0 when the shift is not positive definite; fresh
     records the value used.  lb_recycled is evaluated on direction, or on
     fresh when direction is None.  Products go through ops; norm_r_theta
@@ -249,7 +249,8 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
     """The estimator suite on a block of weighted residuals R (with their
     norms, A'R rows and iterations), in one pass.
 
-    Each row in turn gets its _estimate_row work, then the recycle
+    Each row in turn gets its lower-bound step (_estimate_row), then the
+    upper bounds from its fresh Ap (1-3 rmatvecs), then the recycle
     decision, so the next row sees the direction carried on: with config,
     as recycle_policy decides, else the row's own fresh direction (None
     without one).  Then each refinement step is one lb_refine on the stack
@@ -261,14 +262,25 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
     """
     values, spent, refined = [], [], []  # refined: (row, lb_refine's inputs)
     for r_theta, norm_r_theta, At_r_theta, itn in zip(R, norms, At_R, itns):
-        row, fresh, p_tilde, products = _estimate_row(
+        row, fresh, p_tilde, (matvecs, rmatvecs) = _estimate_row(
             ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est, direction,
             itn)
         if fresh is not None:
             refined.append((len(values), p_tilde, r_theta, norm_r_theta,
                             fresh.mu_est_used))
+            Ap = fresh.Ap
+            u_def = Ap - r_theta
+            if float(np.linalg.norm(u_def)) > 0.0:
+                rmatvecs += 1
+                row["ub_deflation"] = ub_deflation(u_def, r_theta,
+                                                   ops.rmatvec(u_def))
+            if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
+                U = pair_basis(Ap, r_theta)
+                rmatvecs += U.shape[1]
+                rows_UA = np.stack([ops.rmatvec(u) for u in U.T])
+                row["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
         values.append(row)
-        spent.append(products)
+        spent.append((matvecs, rmatvecs))
         if config is None or (fresh is not None and (
                 direction is None or recycle_policy(
                     SimpleNamespace(**row), config) == "recompute")):
@@ -290,19 +302,24 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
 
 def _estimate_row(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
                   direction, itn):
-    """One row's estimator work, all but the refinement: returns (values,
-    fresh, p_tilde, spent) with values["lb_refined"] NaN, fresh the new
-    RecycledDirection (None when the direction solve returned zero),
-    p_tilde that solve's direction and spent its (matvecs, rmatvecs)."""
+    """The lower-bound step of one row, which lsmr, lsbe estimate and the
+    acceptance criteria run: returns (values, fresh, p_tilde, spent) with
+    nu_sketched, lb_fresh and lb_recycled in values (the rest NaN), p_tilde
+    the direction solve (mu_est reset to 0 when its shift is not positive
+    definite; none runs when A'r_theta = 0, whose direction is 0 at any
+    shift), fresh the RecycledDirection of p_tilde (None when it is 0) and
+    spent its products, (1, 0) or (0, 0)."""
     values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
     At_r_theta = np.asarray(At_r_theta, dtype=float).ravel()
     z = kwf.coordinates(At_r_theta)  # shared by nu and the direction
     values["nu_sketched"] = sketched_kw(kwf, At_r_theta, norm_r_theta, z=z)
-    try:
-        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
-    except ShiftNotPD:
-        mu_est = 0.0
-        p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
+    p_tilde = np.zeros_like(At_r_theta)
+    if np.any(At_r_theta):
+        try:
+            p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
+        except ShiftNotPD:
+            mu_est = 0.0
+            p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
     np_t = float(np.linalg.norm(p_tilde))
     fresh = None
     if np_t > 0.0:
@@ -312,23 +329,9 @@ def _estimate_row(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
     recycled = fresh if direction is None else direction
     values["lb_recycled"] = (0.0 if recycled is None
                              else mu_rank_one(recycled.Ap, r_theta))
-    if fresh is None:
-        values["lb_fresh"] = 0.0
-        return values, None, p_tilde, (0, 0)
-    Ap = fresh.Ap
-    values["lb_fresh"] = mu_rank_one(Ap, r_theta)
-    rmatvecs = 0
-    u_def = Ap - r_theta
-    if float(np.linalg.norm(u_def)) > 0.0:
-        rmatvecs += 1
-        values["ub_deflation"] = ub_deflation(u_def, r_theta,
-                                              ops.rmatvec(u_def))
-    if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
-        U = pair_basis(Ap, r_theta)
-        rmatvecs += U.shape[1]
-        rows_UA = np.stack([ops.rmatvec(U[:, i]) for i in range(U.shape[1])])
-        values["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
-    return values, fresh, p_tilde, (1, rmatvecs)
+    values["lb_fresh"] = (0.0 if fresh is None
+                          else mu_rank_one(fresh.Ap, r_theta))
+    return values, fresh, p_tilde, (int(fresh is not None), 0)
 
 
 def _checked_rhs(b, m: int) -> np.ndarray:
@@ -510,9 +513,9 @@ def lsmr(A, b, config: SolverConfig | None = None,
     is bit for bit the same.
     Blocks are counted from the first row, so rows do not depend on when
     futures land.  Returns (x, trace, stop_reason) with stop_reason one
-    of "converged" (the ||A'r|| test fired), "estimator" (stop_when
-    fired), "breakdown" (the bidiagonalization produced a zero vector
-    first), or "max_iters".
+    of "converged" (the ||A'r|| test fired, or the bidiagonalization
+    produced a zero vector), "estimator" (stop_when fired), "breakdown" (a
+    zero rotation pivot, rho or rhobar), or "max_iters".
     """
     config = config or SolverConfig()
     ops = MatrixOperator(A)
@@ -584,9 +587,8 @@ def lsmr(A, b, config: SolverConfig | None = None,
             u = u / beta
             v = ops.rmatvec(u) - beta * v
             alpha = float(np.linalg.norm(v))
-            if alpha == 0.0:
-                zerovec = True
-            else:
+            zerovec = alpha == 0.0
+            if not zerovec:
                 v = v / alpha
 
         rhoold = rho
@@ -631,8 +633,10 @@ def lsmr(A, b, config: SolverConfig | None = None,
         trace.est_norm_Atr.append(normar_est)
 
         normA_stop = norm_A_fro if norm_A_fro is not None else normA_est
-        converged = normar_est <= config.atol * normA_stop * normr_est
-        last = converged or zerovec or itn == max_iters
+        # A zero vector ends the bidiagonalization with ||A'r|| = 0.
+        converged = (zerovec
+                     or normar_est <= config.atol * normA_stop * normr_est)
+        last = converged or itn == max_iters
 
         if ((itn % config.estimate_every == 0 or last)
                 and rows.due(itn, x, (ops.matvecs, ops.rmatvecs))):
@@ -640,9 +644,6 @@ def lsmr(A, b, config: SolverConfig | None = None,
             break
         if converged:
             stop_reason = "converged"
-            break
-        if zerovec:
-            stop_reason = "breakdown"
             break
 
     rows.finish(itn)

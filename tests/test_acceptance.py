@@ -13,6 +13,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+import lsbe.solver
 from lsbe import acceptance
 
 
@@ -37,6 +38,17 @@ def test_c2_rank_one_closed_form():
 def test_c3_shifted_direction_attainment():
     _report(acceptance.criterion_attainment(n_instances=200,
                                             n_random_p=10_000, seed=0))
+
+
+def test_c3_c6_check_the_lower_bound_lsmr_runs(monkeypatch):
+    # Both criteria evaluate the bound through the solver's own step, so a
+    # fault in the rank-one form the solver binds fails them.
+    mu_rank_one = lsbe.solver.mu_rank_one
+    monkeypatch.setattr(lsbe.solver, "mu_rank_one",
+                        lambda a, r: 0.5 * mu_rank_one(a, r))
+    assert not acceptance.criterion_attainment(n_instances=4,
+                                               n_random_p=40).passed
+    assert not acceptance.criterion_sketched_lb(n_synth=2, n_gauss=1).passed
 
 
 def test_c4_decomposition_attainment():

@@ -272,6 +272,29 @@ def test_solve_with_rhs_file(tmp_path, capsys):
         np.linalg.norm(b - A @ x_ls), rel=1e-8)
 
 
+# b lies in col(A), so r = 0 at the solution, while the zero column makes
+# every sketch of A rank-deficient: the lower-bound direction's shift is 0.
+ZERO_RESIDUAL = (np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+                 [1.0, 0.0], [2.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("sketch", ["identity", "gaussian"])
+def test_solve_zero_residual_rank_deficient_sketch(tmp_path, sketch):
+    mpath, _, bpath = _write_instance(tmp_path, *ZERO_RESIDUAL)
+    out = str(tmp_path / "t.csv")
+    assert main(["solve", mpath, "--rhs", bpath, "--out", out,
+                 "--sketch", sketch]) == 0
+    row = read_trace_csv(out)[-1]
+    assert row.norm_r == 0.0 and row.lb_fresh == 0.0
+
+
+def test_estimate_zero_residual_rank_deficient_sketch(tmp_path, capsys):
+    assert main(["estimate", *_write_instance(tmp_path, *ZERO_RESIDUAL),
+                 "--mu-est", "1"]) == 0
+    values = _parse_report(capsys.readouterr().out)
+    assert values["nu_sketched"] == values["lb_sketched"] == 0.0
+
+
 def test_solve_manifest_is_strict_json(tmp_path):
     # The default theta is infinite; the manifest spells it "inf", so a
     # parser that rejects NaN and Infinity reads the file.

@@ -430,6 +430,35 @@ def test_config_validation():
     assert SolverConfig(theta=math.inf).theta == math.inf
 
 
+def test_zero_vector_stops_converged():
+    # A = I, b = e1: the first step gives u = Av - alpha u = 0, which ends
+    # the bidiagonalization with the exact solution and its trace row.
+    A, b = np.eye(3), np.eye(3)[0]
+    x, trace, stop = lsmr(A, b, SolverConfig(estimate_every=5))
+    assert stop == trace.stop_reason == "converged"
+    assert trace.iterations == 1
+    assert [row.iter for row in trace.rows] == [1]
+    assert np.array_equal(x, b) and trace.rows[0].norm_r == 0.0
+
+
+def test_zero_residual_on_rank_deficient_sketch():
+    # r = 0 makes the direction's shift 0, singular for a rank-deficient
+    # sketch at any mu_est; A'r = 0 gives the zero direction without a
+    # solve, so the row is all zeros and NaNs instead of ShiftNotPD.
+    A, b = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), np.eye(3)[0]
+    kwf = kw_factorization(A, sketch=SketchOperator("identity", 3, 3))
+    x, trace, stop = lsmr(A, b, SolverConfig(estimate_every=1), kwf)
+    assert stop == "converged" and np.array_equal(x, [1.0, 0.0])
+    (row,) = trace.rows
+    assert row.norm_r_theta == 0.0
+    assert row.nu_sketched == row.lb_fresh == row.lb_recycled == 0.0
+    for col in ("lb_refined", "ub_deflation", "ub_generous"):
+        assert math.isnan(getattr(row, col)), col
+    # The recurrence's products and the refresh only.
+    assert (row.matvec_count, row.rmatvec_count) == (
+        trace.setup_matvecs + 2, trace.setup_rmatvecs + 2)
+
+
 def test_zero_matrix_converges_at_once():
     # Power iteration gives ||A||_2 = 0, which SolverConfig rejects; lsmr
     # must not store it and stops before the first trace row.
