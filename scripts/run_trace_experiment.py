@@ -15,7 +15,6 @@ Example:
 """
 
 import argparse
-import math
 import os
 import sys
 

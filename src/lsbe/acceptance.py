@@ -23,8 +23,7 @@ from .estimates import kw, kw_factorization, mu_rank_one
 from .exact import mu_all_methods, mu_exact, mu_fixed_point
 from .pencil import JSignature, hyperbolic_cs
 from .sketch import SketchOperator, measure_distortion, sketch_rows
-from .solver import (SolverConfig, _estimate_row, _lsmr_beside_factorization,
-                     _power_spectral_norm)
+from .solver import SolverConfig, _estimate_row, _traced_run, seeded_rhs
 
 GL7D12_SHAPE = (8899, 1019)
 GL7D12_DEFAULT_PATHS = ("data/GL7d12.mtx", "GL7d12.mtx",
@@ -327,24 +326,6 @@ def criterion_hyperbolic_cs(n_instances: int = 500, seed: int = 0
         f" worst_Q_orth={worst_orth:.3e} instances={n_instances}")
 
 
-def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
-    """b = A x + 1e-4 ||A||_2 w for the trace runs: x, then w, drawn from
-    rng as Gaussians of unit expected norm."""
-    m, n = A.shape
-    x_true = rng.standard_normal(n) / math.sqrt(n)
-    w = rng.standard_normal(m) / math.sqrt(m)
-    return A @ x_true + 1e-4 * norm_A_2 * w
-
-
-def _trace_run(A, b, factor: int | float, seed: int, config: SolverConfig):
-    """lsmr on (A, b) with a Gaussian sketch of factor * n rows, started
-    while the sketch (and, with compute_true_mu, A) is factored."""
-    m, n = A.shape
-    S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n), cols=m,
-                       seed=seed)
-    return _lsmr_beside_factorization(A, b, config, S)
-
-
 def criterion_trace_soundness(seed: int = 0) -> CriterionResult:
     """Full LSMR traces on a random sparse problem: every lower bound stays
     below the true backward error, every upper bound above; for generous
@@ -367,7 +348,9 @@ def criterion_trace_soundness(seed: int = 0) -> CriterionResult:
     ratio_ok = True
     accounting_ok = True
     for factor in (1.5, 6, 16):
-        x, trace, stop = _trace_run(A, b, factor, int(seed) + 17, config)
+        S = SketchOperator(kind="gaussian", rows=sketch_rows(factor, n),
+                           cols=m, seed=int(seed) + 17)
+        x, trace, stop = _traced_run(A, config, S, b)
         rows = trace.rows
         if not rows:
             problems.append(f"factor {factor}: empty trace")
@@ -433,14 +416,15 @@ def criterion_gl7d12(path: str | None = None, seed: int = 0
         return CriterionResult(
             "gl7d12-reproduction", False,
             f"unexpected shape {A.shape} at {found}")
-    norm_A_2 = _power_spectral_norm(MatrixOperator(A))
-    b = seeded_rhs(A, norm_A_2, np.random.default_rng(seed))
     config = SolverConfig(atol=1e-12, estimate_every=10, refine_steps=1,
-                          max_iters=4000, norm_A_2=norm_A_2)
+                          max_iters=4000)
     problems = []
     t0 = time.perf_counter()
     for factor in (1.5, 6, 16):
-        x, trace, stop = _trace_run(A, b, factor, seed, config)
+        S = SketchOperator(kind="gaussian",
+                           rows=sketch_rows(factor, A.shape[1]),
+                           cols=A.shape[0], seed=seed)
+        x, trace, stop = _traced_run(A, config, S, seed=seed)
         rows = trace.rows
         if not rows:
             problems.append(f"factor {factor}: no trace rows")

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import GL7D12_SHAPE, run_all, seeded_rhs
+from .acceptance import GL7D12_SHAPE, run_all
 from .core import LSProblem, MatrixOperator, weighted_residual
 from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
                      UnsupportedFormat)
@@ -27,9 +27,7 @@ from .estimates import kw_multi, sketched_kw
 from .exact import mu_exact, mu_fixed_point, mu_gevp, mu_sigma_min
 from .fileio import fmt_float, load_dense, load_matrix, write_trace_csv
 from .sketch import SketchOperator, sketch_rows
-from .solver import SolverConfig, estimate_bounds
-from .solver import (_checked_rhs, _factorizations,
-                     _lsmr_beside_factorization, _power_spectral_norm)
+from .solver import SolverConfig, _factorizations, _traced_run, estimate_bounds
 
 
 def _checked(name: str, convert, ok, rule: str):
@@ -157,21 +155,10 @@ def cmd_solve(args) -> int:
         print(f"note: matrix dimensions {m} x {n} match the SuiteSparse "
               "matrix GL7d12")
 
-    power = MatrixOperator(A)
-    norm_A_2 = config.norm_A_2 or _power_spectral_norm(power)
-    if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
-        config = dataclasses.replace(config, norm_A_2=norm_A_2)
-
-    if args.rhs is not None:
-        # Checked here, so a bad file fails before anything is factored.
-        b = _checked_rhs(load_dense(args.rhs), m)
-    else:
-        b = seeded_rhs(A, norm_A_2, np.random.default_rng(args.seed))
-
-    x, trace, stop_reason = _lsmr_beside_factorization(A, b, config, S)
-    # lsmr was handed the norm estimate, so its products were spent here.
-    trace.setup_matvecs += power.matvecs
-    trace.setup_rmatvecs += power.rmatvecs
+    b = None if args.rhs is None else load_dense(args.rhs)
+    x, trace, stop_reason = _traced_run(A, config, S, b, args.seed)
+    # The manifest reports the norm the run resolved, None for A = 0.
+    config = dataclasses.replace(config, norm_A_2=trace.norm_A_2 or None)
 
     write_trace_csv(trace.rows, args.out)
     manifest = {

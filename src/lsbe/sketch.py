@@ -224,9 +224,9 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
     generalized eigenvalues of (SA)'(SA) against A'A, which requires A to
     have numerical full column rank (RankDeficient otherwise).  With
     trials > 0 the distortions are sampled over random directions y (one
-    column of Y per trial, directions with Ay = 0 skipped), and S is
-    applied once to all of AY, which scales to problems where the exact
-    path is too expensive.
+    column of Y per trial, directions with Ay = 0 skipped, RankDeficient
+    when none is left), and S is applied once to all of AY, which scales
+    to problems where the exact path is too expensive.
     """
     if not is_sparse(A):
         A = np.asarray(A, dtype=float)
@@ -235,10 +235,11 @@ def measure_distortion(S: SketchOperator, A, trials: int = 0,
         AY = A @ Y.T
         norms = np.linalg.norm(AY, axis=0)
         seen = norms > 0.0
+        if not seen.any():
+            raise RankDeficient("no sampled direction has Ay != 0")
         ratios = np.linalg.norm(apply_sketch(S, AY[:, seen]), axis=0)
         ratios /= norms[seen]
-        return (1.0 - float(ratios.min(initial=np.inf)),
-                float(ratios.max(initial=-np.inf)) - 1.0)
+        return 1.0 - float(ratios.min()), float(ratios.max()) - 1.0
 
     Ad = A.toarray() if is_sparse(A) else A
     sv = np.linalg.svd(Ad, compute_uv=False)

@@ -104,13 +104,14 @@ class SolverTrace:
     est_norm_r / est_norm_Atr hold the solver's internal recurrence
     estimates for every iteration (not only traced ones), for drift
     auditing against the explicit values in the rows.  setup_matvecs and
-    setup_rmatvecs count the products spent before the first iteration
-    (the power-iteration norm estimate).  factored_at_iter is the
-    iteration the recurrence had reached when factorizations passed as
-    futures landed, 0 when they were passed in ready.  row_block_size is
-    the number of rows evaluated together (see lsmr), row_blocks the
-    number of blocks evaluated and row_s the seconds spent evaluating
-    them, waits for the factorizations excluded.
+    setup_rmatvecs count the products of the set-up, the power-iteration
+    norm estimate, spent on an operator of its own: a row's counts never
+    include them.  factored_at_iter is the iteration the recurrence had
+    reached when factorizations passed as futures landed, 0 when they
+    were passed in ready.  row_block_size is the number of rows evaluated
+    together (see lsmr), row_blocks the number of blocks evaluated and
+    row_s the seconds spent evaluating them, waits for the factorizations
+    excluded.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -177,6 +178,29 @@ def _power_spectral_norm(ops: MatrixOperator) -> float:
             return 0.0
         v = w / sigma2
     return math.sqrt(sigma2)
+
+
+def _resolved_norm(A, config: SolverConfig):
+    """(config, products): config with norm_A_2 set, unless given, by
+    _power_spectral_norm on an operator of its own, and the (matvecs,
+    rmatvecs) that spent.  A norm of 0 (A = 0) is not stored, since
+    SolverConfig rejects it."""
+    if config.norm_A_2 is not None:
+        return config, (0, 0)
+    power = MatrixOperator(A)
+    norm_A_2 = _power_spectral_norm(power)
+    if norm_A_2 > 0.0:
+        config = replace(config, norm_A_2=norm_A_2)
+    return config, (power.matvecs, power.rmatvecs)
+
+
+def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
+    """b = A x + 1e-4 ||A||_2 w for the trace runs: x, then w, drawn from
+    rng as Gaussians of unit expected norm."""
+    m, n = A.shape
+    x_true = rng.standard_normal(n) / math.sqrt(n)
+    w = rng.standard_normal(m) / math.sqrt(m)
+    return A @ x_true + 1e-4 * norm_A_2 * w
 
 
 def recycle_policy(row: TraceRow, config: SolverConfig) -> str:
@@ -498,6 +522,10 @@ def lsmr(A, b, config: SolverConfig | None = None,
     rows come out bit for bit as the ready factorizations give them.  A
     future that fails stops the run at its next iteration with its
     exception, and lsmr returns only once every future has landed.
+    Without config.norm_A_2, ||A||_2 is resolved first by power iteration
+    on an operator of its own: its products go to trace.setup_matvecs and
+    setup_rmatvecs, and the rows count only the recurrence's and the
+    estimator suite's.
 
     With refinement and no stop_when, due rows are evaluated in blocks of
     up to ROW_BLOCK consecutive rows (fewer when block * m would exceed
@@ -529,34 +557,24 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if exact is not None and not config.compute_true_mu:
         raise ValueError("exact is the factorization behind compute_true_mu")
     fro_source = "input" if norm_A_fro is not None else "recurrence"
-    norm_A_2 = config.norm_A_2 or _power_spectral_norm(ops)
-    setup_mv, setup_rmv = ops.matvecs, ops.rmatvecs
-    if norm_A_2 > 0.0:  # 0 for A = 0, which SolverConfig rejects
-        config = replace(config, norm_A_2=norm_A_2)
+    config, (setup_mv, setup_rmv) = _resolved_norm(A, config)
     max_iters = config.max_iters or 5 * min(m, n)
 
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
-                        norm_A_fro_source=fro_source, norm_A_2=norm_A_2,
+                        norm_A_fro_source=fro_source,
+                        norm_A_2=config.norm_A_2 or 0.0,
                         setup_matvecs=setup_mv, setup_rmatvecs=setup_rmv)
     rows = _Rows(MatrixOperator(A), b, config, kwf, exact, stop_when, trace)
     x = np.zeros(n)
 
-    normb = float(np.linalg.norm(b))
-    if normb == 0.0:
-        rows.finish(0)
-        trace.stop_reason = "converged"
-        return x, trace, "converged"
-
-    beta = normb
-    u = b / beta
-    v = ops.rmatvec(u)
+    beta = float(np.linalg.norm(b))
+    u, v = b, np.zeros(n)  # b = 0 gives A'b = 0 without a product
+    if beta > 0.0:
+        u = b / beta
+        v = ops.rmatvec(u)
     alpha = float(np.linalg.norm(v))
-    if alpha == 0.0:
-        # A'b = 0: the zero vector already satisfies the normal equations.
-        rows.finish(0)
-        trace.stop_reason = "converged"
-        return x, trace, "converged"
-    v = v / alpha
+    if alpha > 0.0:
+        v = v / alpha
 
     zetabar = alpha * beta
     alphabar = alpha
@@ -573,10 +591,12 @@ def lsmr(A, b, config: SolverConfig | None = None,
     zeta = 0.0
 
     normA2 = alpha * alpha
-    stop_reason = ""
+    # b = 0 or A'b = 0: the zero vector already satisfies the normal
+    # equations, and the run ends before its first iteration.
+    stop_reason = "" if alpha > 0.0 else "converged"
 
     itn = 0
-    while itn < max_iters:
+    while not stop_reason and itn < max_iters:
         if rows.pending:
             rows.poll(itn)
         itn += 1
@@ -669,15 +689,29 @@ def _factorizations(A, sketch, exact: bool):
         yield pool.submit(kw_factorization, A, sketch=sketch), exact
 
 
-def _lsmr_beside_factorization(A, b, config: SolverConfig, sketch):
-    """lsmr(A, b, config, kwf, exact=exact) on the calling thread, with
-    kwf (the factorization of S A) and, with config.compute_true_mu,
-    exact (that of A) futures of _factorizations.  A factorization that
-    fails stops lsmr at its next iteration; an interrupt stops it at
-    once, and the call returns once the factorizations running finish.
+def _traced_run(A, config: SolverConfig, sketch, b=None, seed: int = 0):
+    """One traced run as lsbe solve and the trace criteria make it: b
+    (checked, or seeded_rhs(A, ||A||_2, default_rng(seed)) when None),
+    ||A||_2 resolved by _resolved_norm unless config.norm_A_2 is set, then
+    lsmr(A, b, config, kwf, exact=exact) on the calling thread beside the
+    _factorizations futures: kwf that of S A and, with
+    config.compute_true_mu, exact that of A.  The power products are
+    added to trace.setup_matvecs/setup_rmatvecs, never to a row.  A
+    factorization that fails stops lsmr at its next iteration; an
+    interrupt stops it at once, and the call returns once the
+    factorizations running finish.
     """
+    if b is not None:  # before anything is factored
+        b = _checked_rhs(b, A.shape[0])
+    config, (matvecs, rmatvecs) = _resolved_norm(A, config)
+    if b is None:
+        b = seeded_rhs(A, config.norm_A_2 or 0.0,
+                       np.random.default_rng(seed))
     with _factorizations(A, sketch, config.compute_true_mu) as (kwf, exact):
-        return lsmr(A, b, config, kwf, exact=exact)
+        x, trace, stop_reason = lsmr(A, b, config, kwf, exact=exact)
+    trace.setup_matvecs += matvecs
+    trace.setup_rmatvecs += rmatvecs
+    return x, trace, stop_reason
 
 
 __all__ = [

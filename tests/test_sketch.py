@@ -254,11 +254,14 @@ def test_sampled_distortion_matches_per_direction_loop(rng, kind, rows):
 
 
 def test_sampled_distortion_skips_null_directions():
-    # Directions with Ay = 0 carry no ratio; with A = 0 none is left.
-    S = SketchOperator(kind="gaussian", rows=12, cols=10, seed=1)
-    A = np.zeros((10, 3))
-    assert measure_distortion(S, A, trials=5) == \
-        _sampled_distortion_loop(S, A, 5, 0) == (-math.inf, -math.inf)
+    # Directions with Ay = 0 carry no ratio.  With A = 0 none is left: A
+    # is rank deficient, as the exact path says, not a sketch of distortion
+    # (-inf, -inf).
+    S = SketchOperator(kind="gaussian", rows=12, cols=30, seed=1)
+    for A in (np.zeros((30, 4)), sp.csc_matrix((30, 4))):
+        for trials in (0, 5):
+            with pytest.raises(RankDeficient):
+                measure_distortion(S, A, trials=trials)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
