@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,13 +150,13 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
         mu = mu_exact(A, r).mu
         if inject_failure:
             mu *= 0.5
-        values, fresh, _, _ = _estimate_row(
-            MatrixOperator(A), kw_factorization(A), r,
-            float(np.linalg.norm(r)), A.T @ r, mu, None, 0)
+        values, (fresh,), _, _ = _estimate_row(
+            MatrixOperator(A), kw_factorization(A), r[None],
+            [float(np.linalg.norm(r))], (A.T @ r)[None], mu, [0])
         attained = fresh is not None and fresh.mu_est_used == mu
         worst_attain = max(worst_attain, (
-            abs(values["lb_fresh"] - mu) / max(mu, 1e-300) if attained
-            else math.inf))
+            abs(float(values["lb_fresh"][0]) - mu) / max(mu, 1e-300)
+            if attained else math.inf))
 
         P = rng.standard_normal((n, draws_per))
         P /= np.linalg.norm(P, axis=0)
@@ -247,9 +247,9 @@ def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
 
     def lb_for(A, r, S):
         values, _, _, _ = _estimate_row(
-            MatrixOperator(A), kw_factorization(A, sketch=S), r,
-            float(np.linalg.norm(r)), A.T @ r, 0.0, None, 0)
-        return values["lb_fresh"]
+            MatrixOperator(A), kw_factorization(A, sketch=S), r[None],
+            [float(np.linalg.norm(r))], (A.T @ r)[None], 0.0, [0])
+        return float(values["lb_fresh"][0])
 
     for eta in (0.1, 0.3, 0.5):
         guarantee = (1.0 - eta ** 2) / (1.0 + eta ** 2)
@@ -425,6 +425,8 @@ def criterion_gl7d12(path: str | None = None, seed: int = 0
                            rows=sketch_rows(factor, A.shape[1]),
                            cols=A.shape[0], seed=seed)
         x, trace, stop = _traced_run(A, config, S, seed=seed)
+        # ||A||_2 is resolved once, by the first run's power iteration.
+        config = replace(config, norm_A_2=trace.norm_A_2 or None)
         rows = trace.rows
         if not rows:
             problems.append(f"factor {factor}: no trace rows")

@@ -248,29 +248,36 @@ class KWFactorization:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
+    def definite(self, shift) -> np.ndarray:
+        """Whether M'M + shift I is positive definite, elementwise over an
+        array of shifts (False for a NaN shift)."""
+        return np.asarray(shift) + float(self.singular_values[-1] ** 2) > 0.0
+
     def check_shift(self, shift) -> None:
         """Raise ShiftNotPD unless M'M + shift I is positive definite for
-        the shift, or for every one of an array of shifts (a NaN shift is
-        not)."""
-        if not np.all(np.asarray(shift)
-                      + float(self.singular_values[-1] ** 2) > 0.0):
+        the shift, or for every one of an array of shifts."""
+        if not np.all(self.definite(shift)):
             raise ShiftNotPD(
                 "mu_est^2 must stay below ||r||^2 + sigma_min^2 of the sketch")
 
     def coordinates(self, v) -> np.ndarray:
         """V'v: v in the basis of right singular vectors, for one vector
-        (n,) or for every row of a stack (k, n)."""
+        (n,) or for every row of a stack (k, n).  A stack is one gemm,
+        which reads V once where k vectors read it k times; a row of a
+        stack may differ from its own vector's product in the last bits,
+        but a stack of one is bitwise the vector's product."""
         return np.asarray(v, dtype=float) @ self.right_vectors
 
     def solve(self, rhs, shift, z=None) -> np.ndarray:
         """(M'M + shift I)^{-1} rhs in O(n^2), after check_shift.
 
         rhs is one vector (n,) with a float shift, or a stack (k, n) with
-        one shift per row.  A stack costs two gemms, which read V once
-        where k solves read it 2k times; a row of a stack may differ from
-        its own solve in the last bits, but a stack of one is bitwise the
-        vector's solve.  z, when given, is coordinates(rhs), already
-        formed by the caller.
+        one shift per row.  A stack costs two gemms (coordinates and the
+        back-multiplication), which read V once each where k solves read
+        it 2k times; a row of a stack may differ from its own solve in the
+        last bits, but a stack of one is bitwise the vector's solve.  z,
+        when given, is coordinates(rhs), already formed by the caller (a
+        stack's z is then one gemm shared with its other users).
         """
         shift = np.asarray(shift, dtype=float)
         self.check_shift(shift)

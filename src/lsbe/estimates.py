@@ -48,32 +48,54 @@ def mu_rank_one(a, r):
     """
     a = np.ascontiguousarray(a, dtype=float)
     r = np.ascontiguousarray(r, dtype=float)
-    plus, minus = a + r, a - r
     num = 2.0 * np.abs(np.vecdot(a, r))
-    den = np.sqrt(np.vecdot(plus, plus)) + np.sqrt(np.vecdot(minus, minus))
+    # a + r, then a - r, in one buffer: for a stack of residuals a second
+    # temporary of its size costs about as much again as the arithmetic.
+    pm = a + r
+    den = np.sqrt(np.vecdot(pm, pm))
+    np.subtract(a, r, out=pm)
+    den = den + np.sqrt(np.vecdot(pm, pm))
     mu = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
     return float(mu) if mu.ndim == 0 else mu
 
 
-def sketched_kw(kwf: KWFactorization, At_r, norm_r: float,
-                z=None) -> float:
+def _shifts(norm_r, mu_est=0.0) -> np.ndarray:
+    """||r||^2 - mu_est^2 over the broadcast of norm_r and mu_est.
+
+    Squared with Python's float power, which a single row has always
+    used: on some libms it is not the correctly rounded x * x that
+    numpy's ** 2 gives."""
+    pairs = np.broadcast(norm_r, mu_est)
+    return np.reshape([float(nr) ** 2 - float(me) ** 2 for nr, me in pairs],
+                      pairs.shape)
+
+
+def sketched_kw(kwf: KWFactorization, At_r, norm_r,
+                z=None) -> float | np.ndarray:
     """nu = ||(M'M + ||r||^2 I)^{-1/2} A'r|| from the retained SVD of M.
 
     With M = SA this is the sketched estimate: it needs only At_r = A'r
     plus O(n^2) work and never touches A; with M = A it is kw itself.
     z, when given, is kwf.coordinates(At_r), already formed (the
-    estimator suite shares it with lb_direction).
+    estimator suite shares it with lb_direction).  At_r may be a stack
+    (k, n) with norm_r per row: the result is then an array (k,), each
+    value bitwise what its row gets from the same z alone.
     """
-    At_r = np.asarray(At_r, dtype=float).ravel()
+    At_r = np.asarray(At_r, dtype=float)
     if z is None:
         z = kwf.coordinates(At_r)
     s = kwf.singular_values
-    if norm_r == 0.0:
-        if float(np.linalg.norm(At_r)) == 0.0:
-            return 0.0
-        if np.any(s == 0.0):
+    den = s * s + _shifts(norm_r)[..., None]
+    # A zero residual with A'r = 0 gives 0 whatever M; with A'r != 0 it
+    # needs M of full rank.
+    idle = np.asarray(norm_r) == 0.0
+    if idle.any():
+        idle = idle & ~At_r.any(axis=-1)
+        if np.any(s == 0.0) and not np.all(idle):
             raise ShiftNotPD("regularizer is zero and M is rank-deficient")
-    return math.sqrt(float(np.sum(z * z / (s * s + norm_r ** 2))))
+        den = np.where(idle[..., None], 1.0, den)
+    nu = np.sqrt(np.sum(z * z / den, axis=-1))
+    return float(nu) if nu.ndim == 0 else nu
 
 
 def kw(A, r_theta) -> float:
@@ -100,17 +122,20 @@ def kw_multi(A, Rtheta) -> float:
     return math.sqrt(total)
 
 
-def lb_direction(kwf: KWFactorization, At_r, norm_r: float,
-                 mu_est: float = 0.0, z=None) -> np.ndarray:
+def lb_direction(kwf: KWFactorization, At_r, norm_r,
+                 mu_est=0.0, z=None) -> np.ndarray:
     """Solve ((SA)'(SA) + (||r||^2 - mu_est^2) I) p = A'r for the
     (unnormalized) lower-bound direction.
 
-    Raises ShiftNotPD when mu_est^2 >= ||r||^2 + sigma_min^2(SA); the
-    caller should reset mu_est to 0.  z, when given, is
+    At_r may be a stack (k, n) with norm_r and mu_est per row: one
+    batched kwf.solve, whose rows may move in their last bits against
+    single calls (see there).  Raises ShiftNotPD when mu_est^2 >= ||r||^2
+    + sigma_min^2(SA) on any row; the caller should reset that row's
+    mu_est to 0 (kwf.definite tells the rows apart).  z, when given, is
     kwf.coordinates(At_r), already formed.
     """
-    return kwf.solve(np.asarray(At_r, dtype=float).ravel(),
-                     norm_r ** 2 - mu_est ** 2, z=z)
+    return kwf.solve(np.asarray(At_r, dtype=float), _shifts(norm_r, mu_est),
+                     z=z)
 
 
 def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
@@ -126,11 +151,7 @@ def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
     """
     p = np.asarray(p_tilde, dtype=float)
     r = np.asarray(r_theta, dtype=float)
-    # Python's float power, which a single call has always used: on some
-    # libms it is not the correctly rounded x * x that numpy's ** 2 gives.
-    pairs = np.broadcast(norm_r, mu_est)
-    shift = np.reshape([float(nr) ** 2 - float(me) ** 2 for nr, me in pairs],
-                       pairs.shape)
+    shift = _shifts(norm_r, mu_est)
     kwf.check_shift(shift)
     P, R = np.atleast_2d(p, r)
     residual = np.stack(
@@ -139,22 +160,27 @@ def lb_refine(p_tilde, kwf: KWFactorization, A_ops, r_theta,
     return p + kwf.solve(residual.reshape(p.shape), shift)
 
 
-def ub_deflation(u, r_theta, At_u) -> float:
+def ub_deflation(u, r_theta, At_u) -> float | np.ndarray:
     """Upper bound from deflating along u:
     sqrt((||A'u|| / ||u||)^2 + ||(I - u u+) r_theta||^2).
 
     u is the deflator (Ap - r_theta in the estimator pipeline) and At_u
     its product A'u (one rmatvec).  Raises ZeroDeflator when u vanishes.
+    Stacks (k, m) of deflators and residuals with (k, n) products give
+    an array (k,), each value bitwise what its row alone gets (the rows
+    are made contiguous, as in mu_rank_one); ZeroDeflator then means
+    some u vanishes.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    r = np.asarray(r_theta, dtype=float).ravel()
-    At_u = np.asarray(At_u, dtype=float).ravel()
-    nu2 = float(u @ u)
-    if nu2 == 0.0:
+    u = np.ascontiguousarray(u, dtype=float)
+    r = np.ascontiguousarray(r_theta, dtype=float)
+    At_u = np.ascontiguousarray(At_u, dtype=float)
+    nu2 = np.vecdot(u, u)
+    if np.any(nu2 == 0.0):
         raise ZeroDeflator("deflation vector is zero")
-    term_col = float(At_u @ At_u) / nu2
-    term_res = float(r @ r) - float(u @ r) ** 2 / nu2
-    return math.sqrt(term_col + max(term_res, 0.0))
+    term_col = np.vecdot(At_u, At_u) / nu2
+    term_res = np.vecdot(r, r) - np.vecdot(u, r) ** 2 / nu2
+    ub = np.sqrt(term_col + np.maximum(term_res, 0.0))
+    return float(ub) if ub.ndim == 0 else ub
 
 
 def ub_generous(A_cols_2, Ur) -> float:
@@ -165,21 +191,30 @@ def ub_generous(A_cols_2, Ur) -> float:
 
 def pair_basis(Ap, r_theta) -> np.ndarray:
     """Orthonormal basis (m x 1 or m x 2) for span{Ap, r_theta}, dropping
-    a column when the pair is rank one to within TOL_RANK."""
-    a = np.asarray(Ap, dtype=float).ravel()
-    r = np.asarray(r_theta, dtype=float).ravel()
-    na = float(np.linalg.norm(a))
-    nr = float(np.linalg.norm(r))
-    if na == 0.0 and nr == 0.0:
+    a column when the pair is rank one to within TOL_RANK: the one column
+    is then Ap's direction, or r_theta's when Ap = 0.
+
+    Stacks (k, m) of pairs give (k, m, 2), the second column zero where
+    a pair is rank one, each basis bitwise what its pair alone gets.
+    Raises BothZero when Ap and r_theta both vanish (in some pair).
+    """
+    a = np.ascontiguousarray(Ap, dtype=float)
+    r = np.ascontiguousarray(r_theta, dtype=float)
+    na = np.sqrt(np.vecdot(a, a))[..., None]
+    nr = np.sqrt(np.vecdot(r, r))[..., None]
+    if np.any((na == 0.0) & (nr == 0.0)):
         raise BothZero("both Ap and r_theta are zero")
-    if na == 0.0:
-        return (r / nr)[:, None]
-    q1 = a / na
-    w = r - q1 * float(q1 @ r)
-    nw = float(np.linalg.norm(w))
-    if nw <= TOL_RANK * max(na, nr):
+    has_a = na > 0.0
+    q1 = (a / na if np.all(has_a)
+          else np.where(has_a, a, r) / np.where(has_a, na, nr))
+    w = q1 * np.vecdot(q1, r)[..., None]
+    np.subtract(r, w, out=w)
+    nw = np.sqrt(np.vecdot(w, w))[..., None]
+    two = has_a & (nw > TOL_RANK * np.maximum(na, nr))
+    if a.ndim == 1 and not two:
         return q1[:, None]
-    return np.column_stack([q1, w / nw])
+    w /= np.where(two, nw, np.inf)  # 0 where the pair is rank one
+    return np.stack([q1, w], axis=-1)
 
 
 __all__ = [

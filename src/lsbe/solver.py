@@ -22,7 +22,7 @@ import numpy as np
 from .core import (KWFactorization, MatrixOperator, is_sparse,
                    kw_factorization, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
-from .estimates import (RecycledDirection, lb_direction, lb_refine,
+from .estimates import (RecycledDirection, _shifts, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
                         ub_generous)
 from .exact import mu_exact, mu_fixed_point
@@ -257,9 +257,10 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     is passed in so callers keep their own rounding of ||r_theta||.
 
     This is lsmr's estimator pass on a block of one row, and gives that
-    row bit for bit.  lsmr refines the directions of a block of rows with
-    one batched solve per step, so there lb_refined may move in its last
-    bits (see lsmr); every other value is computed per row.
+    row bit for bit.  lsmr runs the pass on blocks of rows, whose
+    coordinates, direction solves and refinement solves are gemms over
+    the block, so there the estimator columns may move in their last bits
+    against this call (see lsmr).
     """
     (values,), _, fresh = _estimate_rows(
         ops, kwf, [r_theta], [norm_r_theta], [At_r_theta], [itn],
@@ -271,91 +272,146 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
                    refine_steps: int, direction: RecycledDirection | None,
                    config: SolverConfig | None = None, mu_est: float = 0.0):
     """The estimator suite on a block of weighted residuals R (with their
-    norms, A'R rows and iterations), in one pass.
+    norms, A'R rows and iterations), stage by stage.
 
-    Each row in turn gets its lower-bound step (_estimate_row), then the
-    upper bounds from its fresh Ap (1-3 rmatvecs), then the recycle
+    First the block's lower-bound step (_estimate_row).  Then, in row
+    order, lb_recycled on the direction carried in and the recycle
     decision, so the next row sees the direction carried on: with config,
     as recycle_policy decides, else the row's own fresh direction (None
-    without one).  Then each refinement step is one lb_refine on the stack
-    of the rows' directions (a matvec and an rmatvec per row, and one
-    batched solve with kwf), and each refined direction is evaluated with
-    one matvec (none when it is zero).  Returns (values, spent, direction):
-    per row a dict over ESTIMATE_COLUMNS and the (matvecs, rmatvecs) its
+    without one).  Then the upper bounds from the rows' fresh Ap, on
+    stacks of ROW_CHUNK rows: the deflators with ub_deflation and the
+    pair bases, an rmatvec per nonzero deflator and per basis column, and
+    ub_generous per row.  Then each refinement step is one lb_refine on
+    the stack of the rows' directions (a matvec and an rmatvec per row,
+    and one batched solve with kwf), and each refined direction is
+    evaluated with one matvec (none when it is zero) and lb_refined, again
+    on stacks of ROW_CHUNK rows.  Returns (values, spent, direction): per row
+    a dict over ESTIMATE_COLUMNS and the (matvecs, rmatvecs) its
     estimates cost, and the direction carried out of the block.
     """
-    values, spent, refined = [], [], []  # refined: (row, lb_refine's inputs)
-    for r_theta, norm_r_theta, At_r_theta, itn in zip(R, norms, At_R, itns):
-        row, fresh, p_tilde, (matvecs, rmatvecs) = _estimate_row(
-            ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est, direction,
-            itn)
-        if fresh is not None:
-            refined.append((len(values), p_tilde, r_theta, norm_r_theta,
-                            fresh.mu_est_used))
-            Ap = fresh.Ap
-            u_def = Ap - r_theta
-            if float(np.linalg.norm(u_def)) > 0.0:
-                rmatvecs += 1
-                row["ub_deflation"] = ub_deflation(u_def, r_theta,
-                                                   ops.rmatvec(u_def))
-            if norm_r_theta > 0.0 or float(np.linalg.norm(Ap)) > 0.0:
-                U = pair_basis(Ap, r_theta)
-                rmatvecs += U.shape[1]
-                rows_UA = np.stack([ops.rmatvec(u) for u in U.T])
-                row["ub_generous"] = ub_generous(rows_UA, U.T @ r_theta)
-        values.append(row)
-        spent.append((matvecs, rmatvecs))
-        if config is None or (fresh is not None and (
+    R = np.ascontiguousarray(R, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    cols, fresh, P, AP = _estimate_row(ops, kwf, R, norms, At_R, mu_est,
+                                       itns)
+    for i, (r, new) in enumerate(zip(R, fresh)):
+        recycled = new if direction is None else direction
+        lb = 0.0 if recycled is None else mu_rank_one(recycled.Ap, r)
+        cols["lb_recycled"][i] = lb
+        if config is None or (new is not None and (
                 direction is None or recycle_policy(
-                    SimpleNamespace(**row), config) == "recompute")):
-            direction = fresh
-    if refine_steps > 0 and refined:
-        at, P, Rr, norms_r, mu_ests = zip(*refined)
-        P, Rr = np.stack(P), np.stack(Rr)
+                    SimpleNamespace(lb_recycled=lb), config) == "recompute")):
+            direction = new
+    has = np.array([new is not None for new in fresh])
+    at = np.flatnonzero(has)
+    matvecs, rmatvecs = has.astype(int), np.zeros(len(R), dtype=int)
+    for c in _chunks(at):
+        R_c, AP_c = R[c], AP[c]
+        U = AP_c - R_c
+        live = np.vecdot(U, U) > 0.0
+        if live.any():
+            U, R_l = _rows(live, U, R_c)
+            cols["ub_deflation"][c[live]] = ub_deflation(
+                U, R_l, np.stack([ops.rmatvec(u) for u in U]))
+            rmatvecs[c[live]] += 1
+        paired = (norms[c] > 0.0) | (np.vecdot(AP_c, AP_c) > 0.0)
+        if paired.any():
+            AP_p, R_p = _rows(paired, AP_c, R_c)
+            for i, B, r in zip(c[paired], pair_basis(AP_p, R_p), R_p):
+                if not B[:, 1].any():  # the pair is rank one
+                    B = B[:, :1]
+                rows_UA = np.stack([ops.rmatvec(u) for u in B.T])
+                cols["ub_generous"][i] = ub_generous(rows_UA, B.T @ r)
+                rmatvecs[i] += B.shape[1]
+    if refine_steps > 0 and at.size:
+        Q, R_at = _rows(has, P, R)
+        mu_used = [fresh[i].mu_est_used for i in at]
         for _ in range(refine_steps):
-            P = lb_refine(P, kwf, ops, Rr, norms_r, mu_ests)
-        for i, q in zip(at, P):
-            nq = float(np.linalg.norm(q))
-            if nq > 0.0:
-                values[i]["lb_refined"] = mu_rank_one(ops.matvec(q / nq),
-                                                      R[i])
-            spent[i] = (spent[i][0] + refine_steps + (nq > 0.0),
-                        spent[i][1] + refine_steps)
-    return values, spent, direction
+            Q = lb_refine(Q, kwf, ops, R_at, norms[at], mu_used)
+        norm_Q = np.sqrt(np.vecdot(Q, Q))
+        for c in _chunks(np.flatnonzero(norm_Q > 0.0)):
+            AQ = np.stack([ops.matvec(q) for q in Q[c] / norm_Q[c, None]])
+            cols["lb_refined"][at[c]] = mu_rank_one(AQ, R_at[c])
+        matvecs[at] += refine_steps + (norm_Q > 0.0)
+        rmatvecs[at] += refine_steps
+    values = [dict(zip(ESTIMATE_COLUMNS, row)) for row in zip(
+        *(cols[c].tolist() for c in ESTIMATE_COLUMNS))]
+    return values, list(zip(matvecs.tolist(), rmatvecs.tolist())), direction
 
 
-def _estimate_row(ops, kwf, r_theta, norm_r_theta, At_r_theta, mu_est,
-                  direction, itn):
-    """The lower-bound step of one row, which lsmr, lsbe estimate and the
-    acceptance criteria run: returns (values, fresh, p_tilde, spent) with
-    nu_sketched, lb_fresh and lb_recycled in values (the rest NaN), p_tilde
-    the direction solve (mu_est reset to 0 when its shift is not positive
-    definite; none runs when A'r_theta = 0, whose direction is 0 at any
-    shift), fresh the RecycledDirection of p_tilde (None when it is 0) and
-    spent its products, (1, 0) or (0, 0)."""
-    values = dict.fromkeys(ESTIMATE_COLUMNS, math.nan)
-    At_r_theta = np.asarray(At_r_theta, dtype=float).ravel()
-    z = kwf.coordinates(At_r_theta)  # shared by nu and the direction
-    values["nu_sketched"] = sketched_kw(kwf, At_r_theta, norm_r_theta, z=z)
-    p_tilde = np.zeros_like(At_r_theta)
-    if np.any(At_r_theta):
+# Rows that a stage of m-vector arithmetic takes at a time.  A chunk's
+# stacks on the GL7d12 stand-in (m = 8899) stay in a 2 MB L2 cache, and
+# its products read vectors just written, where a whole block's stacks
+# spill to memory: the row pass of solve-trace seed 1 took 0.57 s chunk by
+# chunk against 0.67 s block-wide (medians of 20, one BLAS thread).
+ROW_CHUNK = 4
+
+
+def _chunks(rows):
+    """The index array rows in consecutive runs of at most ROW_CHUNK."""
+    return [rows[i:i + ROW_CHUNK] for i in range(0, len(rows), ROW_CHUNK)]
+
+
+def _rows(mask, *stacks):
+    """The rows of each stack where mask holds: the stacks themselves,
+    uncopied, when it holds on every row."""
+    return stacks if mask.all() else tuple(X[mask] for X in stacks)
+
+
+def _estimate_row(ops, kwf, R, norms, At_R, mu_est, itns):
+    """The lower-bound step of a block of rows, which lsmr, lsbe estimate
+    and the acceptance criteria run (the last two on a block of one): R
+    (k, m) weighted residuals, with their norms, A'R rows (k, n) and
+    iterations, and one mu_est that every row starts from.
+
+    Returns (cols, fresh, P, AP).  cols maps each name in
+    ESTIMATE_COLUMNS to an array (k,), with nu_sketched and lb_fresh
+    filled and the rest NaN.  P (k, n) holds the direction solves, zero
+    on rows with A'r_theta = 0 (whose direction is 0 at any shift, so
+    none runs).  fresh holds per row the RecycledDirection of P's row
+    (None when that row is 0) with the mu_est it used, reset to 0 on
+    rows whose shift is not positive definite.  AP (k, m) holds the
+    products of the unit directions, one matvec per fresh direction, and
+    zero rows elsewhere, where lb_fresh is 0.
+
+    nu and the directions share one gemm, Z = A'R V, and the solves are
+    one more (lb_direction on the stack, one shift per row).  The rest is
+    vector arithmetic on stacks, each row bitwise what a block of one
+    gets: the unit directions over the block, and a matvec per fresh
+    direction then lb_fresh over chunks of ROW_CHUNK rows.
+    """
+    k = len(R)
+    cols = dict(zip(ESTIMATE_COLUMNS,
+                    np.full((len(ESTIMATE_COLUMNS), k), math.nan)))
+    norms = np.asarray(norms, dtype=float)
+    At_R = np.ascontiguousarray(At_R, dtype=float)
+    Z = kwf.coordinates(At_R)
+    cols["nu_sketched"][:] = sketched_kw(kwf, At_R, norms, z=Z)
+    mu_est = np.full(k, mu_est, dtype=float)
+    P = np.zeros_like(At_R)
+    live = At_R.any(axis=1)
+    if live.any():
+        At_l, norms_l, Z_l = _rows(live, At_R, norms, Z)
         try:
-            p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
+            P[live] = lb_direction(kwf, At_l, norms_l, mu_est[live], z=Z_l)
         except ShiftNotPD:
-            mu_est = 0.0
-            p_tilde = lb_direction(kwf, At_r_theta, norm_r_theta, mu_est, z=z)
-    np_t = float(np.linalg.norm(p_tilde))
-    fresh = None
-    if np_t > 0.0:
-        p_hat = p_tilde / np_t
-        fresh = RecycledDirection(p=p_hat, Ap=ops.matvec(p_hat), born_at=itn,
-                                  mu_est_used=mu_est)
-    recycled = fresh if direction is None else direction
-    values["lb_recycled"] = (0.0 if recycled is None
-                             else mu_rank_one(recycled.Ap, r_theta))
-    values["lb_fresh"] = (0.0 if fresh is None
-                          else mu_rank_one(fresh.Ap, r_theta))
-    return values, fresh, p_tilde, (int(fresh is not None), 0)
+            mu_est = np.where(kwf.definite(_shifts(norms, mu_est)), mu_est,
+                              0.0)
+            P[live] = lb_direction(kwf, At_l, norms_l, mu_est[live], z=Z_l)
+    norm_P = np.sqrt(np.vecdot(P, P))
+    P_hat = P / np.where(norm_P > 0.0, norm_P, 1.0)[:, None]
+    AP = np.empty_like(R)
+    fresh = [None] * k
+    for c in _chunks(np.arange(k)):
+        for i in c:
+            if norm_P[i] == 0.0:
+                AP[i] = 0.0
+                continue
+            AP[i] = ops.matvec(P_hat[i])
+            fresh[i] = RecycledDirection(p=P_hat[i], Ap=AP[i],
+                                         born_at=itns[i],
+                                         mu_est_used=float(mu_est[i]))
+        cols["lb_fresh"][c] = mu_rank_one(AP[c], R[c])
+    return cols, fresh, P, AP
 
 
 def _checked_rhs(b, m: int) -> np.ndarray:
@@ -369,9 +425,9 @@ def _checked_rhs(b, m: int) -> np.ndarray:
     return b
 
 
-# Due rows are evaluated in blocks of this many, so that each refinement
-# step solves the whole block with one gemm, which reads the n x n factor
-# once, instead of one gemv per row.
+# Due rows are evaluated in blocks of this many, so that the coordinates,
+# the direction solve and each refinement step are one gemm over the
+# block, which reads the n x n factor once, instead of one gemv per row.
 ROW_BLOCK = 32
 
 
@@ -391,10 +447,10 @@ class _Rows:
 
     Rows are evaluated in blocks of consecutive rows, counted from the
     first row, so a row does not depend on when the futures land.  The
-    block size is ROW_BLOCK, capped so that the residuals a block keeps
-    for its refinement hold no more than n x n floats (block * m <= n^2,
-    and at least 1); it is 1 without refinement, which has nothing to
-    batch, and with stop_when.  A block refreshes each row's residual
+    block size is ROW_BLOCK, capped so that each m-vector stack a block
+    works on (its residuals, products, deflators and pair bases) holds no
+    more than n x n floats (block * m <= n^2, and at least 1); it is 1
+    with stop_when.  A block refreshes each row's residual
     (and its true mu), then runs one _estimate_rows pass on the weighted
     residuals.  ops is the estimator suite's own operator, and a row's
     counts are the recurrence's at its iteration plus the running sum of
@@ -413,7 +469,7 @@ class _Rows:
         self.direction: RecycledDirection | None = None
         self.spent = (0, 0)  # products of the rows evaluated so far
         m, n = ops.shape
-        self.block = (1 if config.refine_steps == 0 or stop_when is not None
+        self.block = (1 if stop_when is not None
                       else max(1, min(ROW_BLOCK, n * n // m)))
         trace.row_block_size = self.block
         if not self.pending:
@@ -483,10 +539,9 @@ class _Rows:
                 if self.true_mu is not None:
                     mu_t = self.true_mu(r_th)
                 weighted.append((len(rows), itn, r_th, norm_rth, cth * At_r))
-            rows.append(TraceRow(
-                iter=itn, norm_r=norm_r, norm_Atr=norm_Atr,
-                norm_r_theta=norm_rth, mu_true=mu_t, matvec_count=0,
-                rmatvec_count=0, **dict.fromkeys(ESTIMATE_COLUMNS, math.nan)))
+            rows.append(dict(iter=itn, norm_r=norm_r, norm_Atr=norm_Atr,
+                             norm_r_theta=norm_rth, mu_true=mu_t,
+                             **dict.fromkeys(ESTIMATE_COLUMNS, math.nan)))
         spent = [(1, 1)] * len(rows)  # the refresh
         if weighted and self.kwf is not None:
             at, itns, R, norms, At_R = zip(*weighted)
@@ -494,12 +549,12 @@ class _Rows:
                 ops, self.kwf, R, norms, At_R, itns, config.refine_steps,
                 self.direction, config)
             for i, v, (mv, rmv) in zip(at, values, products):
-                rows[i] = replace(rows[i], **v)
+                rows[i].update(v)
                 spent[i] = (1 + mv, 1 + rmv)
         for (_, _, counts), row, (mv, rmv) in zip(block, rows, spent):
             self.spent = (self.spent[0] + mv, self.spent[1] + rmv)
-            self.trace.rows.append(replace(
-                row, matvec_count=counts[0] + self.spent[0],
+            self.trace.rows.append(TraceRow(
+                **row, matvec_count=counts[0] + self.spent[0],
                 rmatvec_count=counts[1] + self.spent[1]))
         self.trace.row_blocks += 1
         self.trace.row_s += time.perf_counter() - start
@@ -527,18 +582,24 @@ def lsmr(A, b, config: SolverConfig | None = None,
     setup_rmatvecs, and the rows count only the recurrence's and the
     estimator suite's.
 
-    With refinement and no stop_when, due rows are evaluated in blocks of
-    up to ROW_BLOCK consecutive rows (fewer when block * m would exceed
-    n^2, so the residuals a block keeps stay within one n x n factor).  A
-    block is one estimator pass: each row's own estimates and recycle
-    decision in turn, then each refinement step for the whole block with
-    one gemm, which sums in another order than a row's own solve.  So
-    lb_refined may move against evaluating each row on its own, as
-    estimate_bounds does, by about one rounding of ||r_theta||: below
-    1e-15 relative unless mu is far below ||r_theta||, where a'r cancels
-    and the relative change grows (up to 2.4e-9 at mu/||r_theta|| =
-    1e-8).  Every other column and every count is computed per row and
-    is bit for bit the same.
+    Without stop_when, due rows are evaluated in blocks of up to
+    ROW_BLOCK consecutive rows (fewer when block * m would exceed n^2, so
+    each m-vector stack of a block stays within one n x n factor).  A
+    block is one estimator pass, stage by stage: the coordinates V'A'r
+    and the direction solves are two gemms over the block, and so is each
+    refinement step; the rest is vector arithmetic over the block, each
+    row bitwise what it gets alone, but for the recycle decisions, taken
+    in row order.  A gemm sums in another order than one row's gemv, so
+    every estimator column may move against evaluating each row on its
+    own, as estimate_bounds does.  nu_sketched and the lower bounds move
+    by up to about 2.2 eps ||r_theta|| (up to 6.6e-9 relative where a'r
+    cancels), ub_deflation by up to about 3e-15 relative, and
+    ub_generous, whose eigenvalue formula is accurate in mu^2 only, by
+    up to about eps (||A||_2^2 + ||r_theta||^2) in its square: 5.9e-11
+    relative on a graded 240 x 90 problem, but 2.5e-3 relative on late
+    rows of solve-converge, where mu/||r_theta|| is near 1e-8 and the
+    formula keeps only a few digits.  The counts and every other column
+    are bit for bit the same.
     Blocks are counted from the first row, so rows do not depend on when
     futures land.  Returns (x, trace, stop_reason) with stop_reason one
     of "converged" (the ||A'r|| test fired, or the bidiagonalization

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from lsbe.solver import ESTIMATE_COLUMNS
 
 
 @pytest.fixture
@@ -15,3 +19,56 @@ def random_orthogonal(rng, n):
 def random_orthonormal(rng, n, k):
     Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return Q
+
+
+EPS = float(np.finfo(float).eps)
+# The trace columns that no estimator computes: the refresh, the true mu
+# and the counts.  Evaluating rows in blocks must leave them bit for bit.
+EXACT_COLUMNS = ("iter", "norm_r", "norm_Atr", "norm_r_theta", "mu_true",
+                 "matvec_count", "rmatvec_count")
+# Multiple of eps that an estimator column may move by, in the units
+# assert_rows_close states.
+ATTAINABLE_C = 8.0
+
+
+def assert_rows_close(got, want, norm_A_2, exact=EXACT_COLUMNS):
+    """Trace rows got against want: the columns named in exact bit for
+    bit, and every estimator column (NaN exactly where want is NaN) to
+    the accuracy it can attain once its inputs move in their last bits.
+
+    That is |got - want| <= 1e-12 |want| + C eps ||r_theta||, C = 8
+    (ATTAINABLE_C), for every estimator but ub_generous.  A gemm over a
+    block of rows sums in another order than one row's gemv, and that
+    moves nu and each lower bound by a few roundings of ||r_theta||.
+    ub_generous is mu_exact's eigenvalue formula on the compressed pair,
+    accurate in mu^2 only, so it gets |got^2 - want^2| <= 1e-12 want^2 +
+    C eps (||A||_2^2 + ||r_theta||^2), with norm_A_2 = ||A||_2.  The
+    relative term carries ub_deflation, which sits up to 1e6 times above
+    ||r_theta||.
+
+    Measured worst cases, over blocks of 32 against blocks of one, the
+    400 x 40 regression trace against its per-row recording, and lsbe
+    solve with the benchmark's solve-trace and solve-converge flags on
+    the GL7d12 stand-in (seeds 1-3) against per-row gemvs: nu and the
+    lower bounds 2.23 eps ||r_theta|| (lb_fresh), which is up to 6.6e-9
+    relative where a'r cancels; ub_generous 0.87 of its unit (5.9e-11
+    relative, and 2.5e-3 relative on solve-converge's late rows, where
+    the formula keeps only a few digits); ub_deflation 3.2e-15 relative.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for col in exact:
+            x, y = getattr(g, col), getattr(w, col)
+            assert x == y or (math.isnan(x) and math.isnan(y)), (w.iter, col)
+        for col in ESTIMATE_COLUMNS:
+            x, y = getattr(g, col), getattr(w, col)
+            if math.isnan(y):
+                assert math.isnan(x), (w.iter, col)
+            elif col == "ub_generous":
+                floor = EPS * (norm_A_2 ** 2 + w.norm_r_theta ** 2)
+                assert abs(x * x - y * y) <= (
+                    1e-12 * y * y + ATTAINABLE_C * floor), (w.iter, col, x, y)
+            else:
+                floor = EPS * w.norm_r_theta
+                assert abs(x - y) <= (
+                    1e-12 * abs(y) + ATTAINABLE_C * floor), (w.iter, col, x, y)

@@ -7,6 +7,7 @@ available (see README).
 """
 
 import time
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -99,5 +100,24 @@ def test_c9_gl7d12_criterion_on_a_small_matrix(tmp_path, monkeypatch):
     path = str(tmp_path / "small.mtx")
     scipy.io.mmwrite(path, A)
     monkeypatch.setattr(acceptance, "GL7D12_SHAPE", (m, n))
+    runs = []
+
+    def kept_run(*args, **kwargs):
+        runs.append((args, kwargs, lsbe.solver._traced_run(*args, **kwargs)))
+        return runs[-1][2]
+    monkeypatch.setattr(acceptance, "_traced_run", kept_run)
     result = acceptance.criterion_gl7d12(path)
     assert result.passed and not result.skipped, result.detail
+    # The first run resolves ||A||_2 and the later two take it, spending no
+    # set-up products, with the rows a run resolving its own norm gets.
+    traces = [trace for _, _, (_, trace, _) in runs]
+    assert [(t.setup_matvecs, t.setup_rmatvecs) for t in traces] == [
+        (20, 20), (0, 0), (0, 0)]
+    for (A_run, config, S), kwargs, (_, trace, _) in runs[1:]:
+        assert config.norm_A_2 == traces[0].norm_A_2
+        own = lsbe.solver._traced_run(
+            A_run, replace(config, norm_A_2=None), S, **kwargs)[1]
+        assert own.norm_A_2 == trace.norm_A_2
+        assert np.array_equal([astuple(row) for row in own.rows],
+                              [astuple(row) for row in trace.rows],
+                              equal_nan=True)

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -21,6 +22,8 @@ from lsbe.estimates import RecycledDirection
 from lsbe.fileio import read_trace_csv
 from lsbe.solver import ESTIMATE_COLUMNS, TRACE_COLUMNS, _TrueMu
 from lsbe.sketch import SketchOperator, apply_sketch
+
+from conftest import EXACT_COLUMNS, assert_rows_close
 
 
 def _sketch_kwf(A, factor=6, seed=0):
@@ -279,10 +282,11 @@ def test_estimate_bounds_zero_direction(rng):
     assert values["lb_recycled"] == mu_rank_one(A @ p, r)
 
 
-
+@pytest.mark.threaded_blas
 def test_block_mixes_rows_with_and_without_a_direction(rng):
     # The middle residual has A'r = 0, so no direction: it spends nothing,
-    # and the rows around it spend what each spends on its own.
+    # and the rows around it spend what each spends on its own and get
+    # its values to attainable accuracy (the block's solves are gemms).
     A, r, kwf, _, _ = _bounds_args(rng)
     Q = np.linalg.qr(A)[0]
     r_perp = r - Q @ (Q.T @ r)
@@ -298,16 +302,18 @@ def test_block_mixes_rows_with_and_without_a_direction(rng):
     assert all(math.isnan(values[1][k]) for k in
                ("lb_refined", "ub_deflation", "ub_generous"))
     assert tuple(map(sum, zip(*spent))) == (ops.matvecs, ops.rmatvecs)
+    kept = None  # the policy keeps the first row's direction
     for i in (0, 2):
         alone = MatrixOperator(A)
-        ref, _ = estimate_bounds(alone, kwf, R[i], norms[i], At_R[i],
-                                 refine_steps=2, itn=i + 1)
+        ref, fresh = estimate_bounds(alone, kwf, R[i], norms[i], At_R[i],
+                                     refine_steps=2, direction=kept,
+                                     itn=i + 1)
+        kept = kept or fresh
         assert spent[i] == (alone.matvecs, alone.rmatvecs)
-        for name in ("nu_sketched", "lb_fresh", "ub_deflation",
-                     "ub_generous"):
-            assert values[i][name] == ref[name], (i, name)
-        assert values[i]["lb_refined"] == pytest.approx(
-            ref["lb_refined"], rel=1e-14, abs=0)
+        got, want = (SimpleNamespace(iter=i + 1, norm_r_theta=norms[i], **v)
+                     for v in (values[i], ref))
+        assert_rows_close([got], [want], float(np.linalg.norm(A, 2)),
+                          exact=("norm_r_theta",))
 
 
 def test_trace_soundness_small(rng):
@@ -538,19 +544,19 @@ def _regression_run():
     return lsmr(A, b, config, _sketch_kwf(A))[1]
 
 
+@pytest.mark.threaded_blas
 def test_trace_regression_sparse_gaussian_sketch():
-    rows = _regression_run().rows
+    # Rows run in blocks of 4 here (4 * 400 <= 40^2), so the estimator
+    # columns hold to attainable accuracy, not bit for bit.  mu_true was
+    # recorded by an older exact route and differs from today's by up to
+    # 3.3e-15 relative.
+    trace = _regression_run()
     ref = read_trace_csv(REGRESSION_TRACE)
-    assert len(rows) == len(ref) == 60
-    for got, want in zip(rows, ref):
-        for col in TRACE_COLUMNS:
-            g, w = getattr(got, col), getattr(want, col)
-            if col in ("iter", "matvec_count", "rmatvec_count"):
-                assert g == w, (got.iter, col)
-            elif math.isnan(w):
-                assert math.isnan(g), (got.iter, col)
-            else:
-                assert g == pytest.approx(w, rel=1e-12, abs=0), (got.iter, col)
+    assert len(trace.rows) == len(ref) == 60
+    assert_rows_close(trace.rows, ref, trace.norm_A_2,
+                      exact=[c for c in EXACT_COLUMNS if c != "mu_true"])
+    for got, want in zip(trace.rows, ref):
+        assert got.mu_true == pytest.approx(want.mu_true, rel=1e-12, abs=0)
 
 
 def _graded_problem(rng, m=300, n=16):
@@ -654,10 +660,11 @@ def _blocked_problem(rng):
 
 @pytest.mark.threaded_blas
 @pytest.mark.parametrize("every", [1, 7])
-@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("steps", [0, 1, 2])
 def test_blocked_rows_match_blocks_of_one(rng, every, steps):
-    # stop_when forces blocks of one; blocks of 32 move only lb_refined,
-    # and that by at most 1e-14 relative.
+    # stop_when forces blocks of one.  Blocks of 32, with or without
+    # refinement, share their solves as gemms, so only the estimator
+    # columns move, and those within attainable accuracy.
     A, b, kwf = _blocked_problem(rng)
     config = SolverConfig(estimate_every=every, refine_steps=steps,
                           max_iters=300)
@@ -669,13 +676,7 @@ def test_blocked_rows_match_blocks_of_one(rng, every, steps):
     assert rows == len(trace.rows) > 32
     assert (trace.row_block_size, trace.row_blocks) == (32, -(-rows // 32))
     assert (trace1.row_block_size, trace1.row_blocks) == (1, rows)
-    others = [c for c in TRACE_COLUMNS if c != "lb_refined"]
-    for row, ref in zip(trace.rows, trace1.rows):
-        assert np.array_equal([getattr(row, c) for c in others],
-                              [getattr(ref, c) for c in others],
-                              equal_nan=True)
-        assert row.lb_refined == pytest.approx(ref.lb_refined, rel=1e-14,
-                                               abs=0)
+    assert_rows_close(trace.rows, trace1.rows, trace.norm_A_2)
 
 
 @pytest.mark.threaded_blas
