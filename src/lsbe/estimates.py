@@ -87,14 +87,14 @@ def sketched_kw(kwf: KWFactorization, At_r, norm_r,
     s = kwf.singular_values
     den = s * s + _shifts(norm_r)[..., None]
     # A zero residual with A'r = 0 gives 0 whatever M; with A'r != 0 it
-    # needs M of full rank.
-    idle = np.asarray(norm_r) == 0.0
-    if idle.any():
-        idle = idle & ~At_r.any(axis=-1)
-        if np.any(s == 0.0) and not np.all(idle):
+    # needs M of full rank.  Rows with a residual have den > 0.
+    zero_r = np.asarray(norm_r) == 0.0
+    if zero_r.any():
+        idle = zero_r & ~At_r.any(axis=-1)
+        if np.any(s == 0.0) and np.any(zero_r & ~idle):
             raise ShiftNotPD("regularizer is zero and M is rank-deficient")
         den = np.where(idle[..., None], 1.0, den)
-    nu = np.sqrt(np.sum(z * z / den, axis=-1))
+    nu = np.sqrt((z * z / den).sum(axis=-1))
     return float(nu) if nu.ndim == 0 else nu
 
 
@@ -189,14 +189,15 @@ def ub_generous(A_cols_2, Ur) -> float:
     return mu_exact(A_cols_2, np.ravel(Ur)).mu
 
 
-def pair_basis(Ap, r_theta) -> np.ndarray:
-    """Orthonormal basis (m x 1 or m x 2) for span{Ap, r_theta}, dropping
-    a column when the pair is rank one to within TOL_RANK: the one column
-    is then Ap's direction, or r_theta's when Ap = 0.
+def pair_basis(Ap, r_theta):
+    """Orthonormal basis of span{Ap, r_theta}, as (U, rank): U (m, 2),
+    of which the first rank columns are the basis.  rank is 1 when the
+    pair is rank one to within TOL_RANK; the one column is then Ap's
+    direction, or r_theta's when Ap = 0, and the second column is zero.
 
-    Stacks (k, m) of pairs give (k, m, 2), the second column zero where
-    a pair is rank one, each basis bitwise what its pair alone gets.
-    Raises BothZero when Ap and r_theta both vanish (in some pair).
+    Stacks (k, m) of pairs give U (k, m, 2) and rank (k,), each basis
+    bitwise what its pair alone gets.  Raises BothZero when Ap and
+    r_theta both vanish (in some pair).
     """
     a = np.ascontiguousarray(Ap, dtype=float)
     r = np.ascontiguousarray(r_theta, dtype=float)
@@ -211,10 +212,10 @@ def pair_basis(Ap, r_theta) -> np.ndarray:
     np.subtract(r, w, out=w)
     nw = np.sqrt(np.vecdot(w, w))[..., None]
     two = has_a & (nw > TOL_RANK * np.maximum(na, nr))
-    if a.ndim == 1 and not two:
-        return q1[:, None]
     w /= np.where(two, nw, np.inf)  # 0 where the pair is rank one
-    return np.stack([q1, w], axis=-1)
+    rank = 1 + two[..., 0]
+    return np.stack([q1, w], axis=-1), (int(rank) if rank.ndim == 0
+                                        else rank)
 
 
 __all__ = [

@@ -293,6 +293,8 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
     norms = np.asarray(norms, dtype=float)
     cols, fresh, P, AP = _estimate_row(ops, kwf, R, norms, At_R, mu_est,
                                        itns)
+    for col in ESTIMATE_COLUMNS:
+        cols.setdefault(col, np.full(len(R), math.nan))
     for i, (r, new) in enumerate(zip(R, fresh)):
         recycled = new if direction is None else direction
         lb = 0.0 if recycled is None else mu_rank_one(recycled.Ap, r)
@@ -316,9 +318,9 @@ def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
         paired = (norms[c] > 0.0) | (np.vecdot(AP_c, AP_c) > 0.0)
         if paired.any():
             AP_p, R_p = _rows(paired, AP_c, R_c)
-            for i, B, r in zip(c[paired], pair_basis(AP_p, R_p), R_p):
-                if not B[:, 1].any():  # the pair is rank one
-                    B = B[:, :1]
+            for i, B, rank, r in zip(c[paired], *pair_basis(AP_p, R_p),
+                                     R_p):
+                B = B[:, :rank]
                 rows_UA = np.stack([ops.rmatvec(u) for u in B.T])
                 cols["ub_generous"][i] = ub_generous(rows_UA, B.T @ r)
                 rmatvecs[i] += B.shape[1]
@@ -363,15 +365,14 @@ def _estimate_row(ops, kwf, R, norms, At_R, mu_est, itns):
     (k, m) weighted residuals, with their norms, A'R rows (k, n) and
     iterations, and one mu_est that every row starts from.
 
-    Returns (cols, fresh, P, AP).  cols maps each name in
-    ESTIMATE_COLUMNS to an array (k,), with nu_sketched and lb_fresh
-    filled and the rest NaN.  P (k, n) holds the direction solves, zero
-    on rows with A'r_theta = 0 (whose direction is 0 at any shift, so
-    none runs).  fresh holds per row the RecycledDirection of P's row
-    (None when that row is 0) with the mu_est it used, reset to 0 on
-    rows whose shift is not positive definite.  AP (k, m) holds the
-    products of the unit directions, one matvec per fresh direction, and
-    zero rows elsewhere, where lb_fresh is 0.
+    Returns (cols, fresh, P, AP).  cols maps nu_sketched and lb_fresh to
+    arrays (k,).  P (k, n) holds the direction solves, zero on rows with
+    A'r_theta = 0 (whose direction is 0 at any shift, so none runs).
+    fresh holds per row the RecycledDirection of P's row (None when that
+    row is 0) with the mu_est it used, reset to 0 on rows whose shift is
+    not positive definite.  AP (k, m) holds the products of the unit
+    directions, one matvec per fresh direction, and zero rows elsewhere,
+    where lb_fresh is 0.
 
     nu and the directions share one gemm, Z = A'R V, and the solves are
     one more (lb_direction on the stack, one shift per row).  The rest is
@@ -380,38 +381,39 @@ def _estimate_row(ops, kwf, R, norms, At_R, mu_est, itns):
     direction then lb_fresh over chunks of ROW_CHUNK rows.
     """
     k = len(R)
-    cols = dict(zip(ESTIMATE_COLUMNS,
-                    np.full((len(ESTIMATE_COLUMNS), k), math.nan)))
     norms = np.asarray(norms, dtype=float)
     At_R = np.ascontiguousarray(At_R, dtype=float)
     Z = kwf.coordinates(At_R)
-    cols["nu_sketched"][:] = sketched_kw(kwf, At_R, norms, z=Z)
-    mu_est = np.full(k, mu_est, dtype=float)
-    P = np.zeros_like(At_R)
+    nu = sketched_kw(kwf, At_R, norms, z=Z)
+    mu_est = float(mu_est)
+    mu_used = [mu_est] * k
     live = At_R.any(axis=1)
+    P = np.zeros_like(At_R)
     if live.any():
         At_l, norms_l, Z_l = _rows(live, At_R, norms, Z)
         try:
-            P[live] = lb_direction(kwf, At_l, norms_l, mu_est[live], z=Z_l)
+            P[live] = lb_direction(kwf, At_l, norms_l, mu_est, z=Z_l)
         except ShiftNotPD:
-            mu_est = np.where(kwf.definite(_shifts(norms, mu_est)), mu_est,
-                              0.0)
-            P[live] = lb_direction(kwf, At_l, norms_l, mu_est[live], z=Z_l)
-    norm_P = np.sqrt(np.vecdot(P, P))
-    P_hat = P / np.where(norm_P > 0.0, norm_P, 1.0)[:, None]
+            mu_used = np.where(kwf.definite(_shifts(norms, mu_est)), mu_est,
+                               0.0)
+            P[live] = lb_direction(kwf, At_l, norms_l, mu_used[live], z=Z_l)
+            mu_used = mu_used.tolist()
+    norm_P = np.sqrt(np.vecdot(P, P)).tolist()
     AP = np.empty_like(R)
+    lb = np.empty(k)
     fresh = [None] * k
-    for c in _chunks(np.arange(k)):
-        for i in c:
+    for lo in range(0, k, ROW_CHUNK):
+        c = slice(lo, lo + ROW_CHUNK)
+        for i in range(lo, min(lo + ROW_CHUNK, k)):
             if norm_P[i] == 0.0:
                 AP[i] = 0.0
                 continue
-            AP[i] = ops.matvec(P_hat[i])
-            fresh[i] = RecycledDirection(p=P_hat[i], Ap=AP[i],
-                                         born_at=itns[i],
-                                         mu_est_used=float(mu_est[i]))
-        cols["lb_fresh"][c] = mu_rank_one(AP[c], R[c])
-    return cols, fresh, P, AP
+            p_hat = P[i] / norm_P[i]
+            AP[i] = ops.matvec(p_hat)
+            fresh[i] = RecycledDirection(p=p_hat, Ap=AP[i], born_at=itns[i],
+                                         mu_est_used=mu_used[i])
+        lb[c] = mu_rank_one(AP[c], R[c])
+    return {"nu_sketched": nu, "lb_fresh": lb}, fresh, P, AP
 
 
 def _checked_rhs(b, m: int) -> np.ndarray:
@@ -593,13 +595,14 @@ def lsmr(A, b, config: SolverConfig | None = None,
     every estimator column may move against evaluating each row on its
     own, as estimate_bounds does.  nu_sketched and the lower bounds move
     by up to about 2.2 eps ||r_theta|| (up to 6.6e-9 relative where a'r
-    cancels), ub_deflation by up to about 3e-15 relative, and
-    ub_generous, whose eigenvalue formula is accurate in mu^2 only, by
-    up to about eps (||A||_2^2 + ||r_theta||^2) in its square: 5.9e-11
-    relative on a graded 240 x 90 problem, but 2.5e-3 relative on late
-    rows of solve-converge, where mu/||r_theta|| is near 1e-8 and the
-    formula keeps only a few digits.  The counts and every other column
-    are bit for bit the same.
+    cancels) and ub_deflation by up to about 3e-15 relative.
+    ub_generous is mu_exact's eigenvalue formula, which cancels in mu^2
+    and so amplifies last-bit moves of its inputs by about
+    ||r_theta|| / mu: it moves by up to 1.04e4 eps ||r_theta|| (5.9e-11
+    relative) on a graded 240 x 90 problem, and by 2.4e6 eps ||r_theta||
+    (2.5e-3 relative) on late rows of solve-converge, where
+    mu/||r_theta|| is near 1e-8 and the formula keeps only a few digits.
+    The counts and every other column are bit for bit the same.
     Blocks are counted from the first row, so rows do not depend on when
     futures land.  Returns (x, trace, stop_reason) with stop_reason one
     of "converged" (the ||A'r|| test fired, or the bidiagonalization

@@ -26,34 +26,40 @@ EPS = float(np.finfo(float).eps)
 # and the counts.  Evaluating rows in blocks must leave them bit for bit.
 EXACT_COLUMNS = ("iter", "norm_r", "norm_Atr", "norm_r_theta", "mu_true",
                  "matvec_count", "rmatvec_count")
-# Multiple of eps that an estimator column may move by, in the units
-# assert_rows_close states.
+# Multiple c of eps ||r_theta|| that an estimator column may move by, in
+# the rule assert_rows_close states.
 ATTAINABLE_C = 8.0
+# The multiple a test may give ub_generous instead (see assert_rows_close).
+GENEROUS_C = 2.0e4
 
 
-def assert_rows_close(got, want, norm_A_2, exact=EXACT_COLUMNS):
+def assert_rows_close(got, want, exact=EXACT_COLUMNS,
+                      c_generous=ATTAINABLE_C):
     """Trace rows got against want: the columns named in exact bit for
     bit, and every estimator column (NaN exactly where want is NaN) to
-    the accuracy it can attain once its inputs move in their last bits.
+    within 1e-12 |want| + c eps ||r_theta||, with want's ||r_theta||.
 
-    That is |got - want| <= 1e-12 |want| + C eps ||r_theta||, C = 8
-    (ATTAINABLE_C), for every estimator but ub_generous.  A gemm over a
-    block of rows sums in another order than one row's gemv, and that
-    moves nu and each lower bound by a few roundings of ||r_theta||.
-    ub_generous is mu_exact's eigenvalue formula on the compressed pair,
-    accurate in mu^2 only, so it gets |got^2 - want^2| <= 1e-12 want^2 +
-    C eps (||A||_2^2 + ||r_theta||^2), with norm_A_2 = ||A||_2.  The
-    relative term carries ub_deflation, which sits up to 1e6 times above
-    ||r_theta||.
+    c is ATTAINABLE_C = 8 for every estimator column, and c_generous for
+    ub_generous.  A gemm over a block of rows sums in another order than
+    one row's gemv, and that moves nu and each lower bound by a few
+    roundings of ||r_theta||; the relative term carries ub_deflation,
+    which sits up to 1e6 times above ||r_theta||.  ub_generous is
+    mu_exact's eigenvalue formula on the compressed pair, which cancels
+    in mu^2 and so amplifies last-bit moves of its inputs by about
+    ||r_theta|| / mu: a test where that ratio is large passes
+    c_generous=GENEROUS_C.
 
-    Measured worst cases, over blocks of 32 against blocks of one, the
-    400 x 40 regression trace against its per-row recording, and lsbe
-    solve with the benchmark's solve-trace and solve-converge flags on
-    the GL7d12 stand-in (seeds 1-3) against per-row gemvs: nu and the
-    lower bounds 2.23 eps ||r_theta|| (lb_fresh), which is up to 6.6e-9
-    relative where a'r cancels; ub_generous 0.87 of its unit (5.9e-11
-    relative, and 2.5e-3 relative on solve-converge's late rows, where
-    the formula keeps only a few digits); ub_deflation 3.2e-15 relative.
+    Measured worst cases of |got - want| / (eps ||r_theta||): the
+    400 x 40 regression trace against its per-row recording, nu 0.82,
+    lb_fresh 1.33, lb_refined 1.64, lb_recycled 0.83 (1.0e-12
+    relative, where a'r cancels), ub_generous 2.9 and ub_deflation 579
+    (7.3e-16 relative); blocks of 32 against blocks of one on the
+    240 x 90 blocked problem, nu 0.054, lb_* 0.19 (lb_recycled, 6.2e-10
+    relative), ub_deflation 124 (3.2e-15 relative) and ub_generous
+    1.04e4 (5.9e-11 relative).  On lsbe solve with the benchmark's
+    solve-converge flags, ub_generous moves up to 2.4e6 (2.5e-3
+    relative) where mu / ||r_theta|| nears 1e-8: outside this rule for
+    any c_generous that a test would take.
     """
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -62,13 +68,9 @@ def assert_rows_close(got, want, norm_A_2, exact=EXACT_COLUMNS):
             assert x == y or (math.isnan(x) and math.isnan(y)), (w.iter, col)
         for col in ESTIMATE_COLUMNS:
             x, y = getattr(g, col), getattr(w, col)
+            c = c_generous if col == "ub_generous" else ATTAINABLE_C
             if math.isnan(y):
                 assert math.isnan(x), (w.iter, col)
-            elif col == "ub_generous":
-                floor = EPS * (norm_A_2 ** 2 + w.norm_r_theta ** 2)
-                assert abs(x * x - y * y) <= (
-                    1e-12 * y * y + ATTAINABLE_C * floor), (w.iter, col, x, y)
             else:
-                floor = EPS * w.norm_r_theta
-                assert abs(x - y) <= (
-                    1e-12 * abs(y) + ATTAINABLE_C * floor), (w.iter, col, x, y)
+                tol = 1e-12 * abs(y) + c * EPS * w.norm_r_theta
+                assert abs(x - y) <= tol, (w.iter, col, x, y)

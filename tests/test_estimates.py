@@ -191,6 +191,23 @@ def test_sketched_kw_zero():
     assert sketched_kw(kwf, np.zeros(1), 1.0) == 0.0
 
 
+def test_sketched_kw_stack_with_an_idle_row_on_rank_deficient_m():
+    # M has a zero singular value.  A row with a residual has a positive
+    # shift, and a zero residual with A'r = 0 gives 0, so the stack gives
+    # each row what it gets alone; only r = 0 with A'r != 0 needs M of
+    # full rank.
+    A = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    kwf = kw_factorization(A)
+    assert kwf.singular_values[-1] == 0.0
+    At_R = np.array([[0.5, 0.0], [0.0, 0.0]])
+    norms = np.array([0.25, 0.0])
+    got = sketched_kw(kwf, At_R, norms)
+    assert got.tolist() == [sketched_kw(kwf, At_R[0], 0.25), 0.0]
+    assert sketched_kw(kwf, At_R[1], 0.0) == 0.0
+    with pytest.raises(ShiftNotPD):
+        sketched_kw(kwf, np.array([[0.5, 0.0], [0.5, 0.0]]), [0.25, 0.0])
+
+
 def test_sketched_kw_within_distortion_window(rng):
     m, n = 200, 10
     A = rng.standard_normal((m, n))
@@ -471,10 +488,26 @@ def test_ub_generous_rank_one_basis(rng):
     p /= np.linalg.norm(p)
     Ap = A @ p
     r = 2.0 * Ap
-    U = pair_basis(Ap, r)
-    assert U.shape == (8, 1)
+    U, rank = pair_basis(Ap, r)
+    assert rank == 1 and not U[:, 1].any()
+    U = U[:, :1]
     val = ub_generous((A.T @ U[:, 0])[None, :], U.T @ r)
     assert val >= mu_exact(A, r[:, None]).mu - 1e-12
+
+
+def test_pair_basis_stack_matches_single_pairs_bitwise(rng):
+    # Rank two, rank one and Ap = 0, stacked and alone.
+    Ap = rng.standard_normal((3, 40))
+    R = rng.standard_normal((3, 40))
+    R[1] = -3.0 * Ap[1]
+    Ap[2] = 0.0
+    U, rank = pair_basis(Ap, R)
+    assert rank.tolist() == [2, 1, 1]
+    for i in range(3):
+        U_i, rank_i = pair_basis(Ap[i], R[i])
+        assert rank_i == rank[i] and np.array_equal(U_i, U[i])
+    assert np.allclose(U[2, :, 0], R[2] / np.linalg.norm(R[2]), rtol=1e-15,
+                       atol=0.0)
 
 
 def test_ub_generous_near_optimal_direction(rng):
@@ -487,7 +520,8 @@ def test_ub_generous_near_optimal_direction(rng):
                      mu_est=mu)
     p /= np.linalg.norm(p)
     Ap = A @ p
-    U = pair_basis(Ap, r)
+    U, rank = pair_basis(Ap, r)
+    U = U[:, :rank]
     rows_UA = np.stack([A.T @ U[:, i] for i in range(U.shape[1])])
     assert ub_generous(rows_UA, U.T @ r) == pytest.approx(mu, rel=1e-8)
 
@@ -502,7 +536,8 @@ def test_upper_bound_ordering_sweep(rng):
         Ap = A @ p
         u = Ap - r
         ubd = ub_deflation(u, r, A.T @ u)
-        U = pair_basis(Ap, r)
+        U, rank = pair_basis(Ap, r)
+        U = U[:, :rank]
         rows_UA = np.stack([A.T @ U[:, i] for i in range(U.shape[1])])
         ubg = ub_generous(rows_UA, U.T @ r)
         assert ubg <= ubd + 1e-12
