@@ -16,7 +16,7 @@ import numpy as np
 from .core import (TOL_RANK, KWFactorization, _as_2d, is_sparse,
                    kw_factorization)
 from .errors import BothZero, ShiftNotPD, ZeroDeflator
-from .exact import mu_exact
+from .exact import mu_sigma_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +185,12 @@ def ub_deflation(u, r_theta, At_u) -> float | np.ndarray:
 
 def ub_generous(A_cols_2, Ur) -> float:
     """Upper bound mu(U'A, U'r_theta) for an orthonormal basis U of
-    [Ap, r_theta]; A_cols_2 holds the compressed rows U'A."""
-    return mu_exact(A_cols_2, np.ravel(Ur)).mu
+    [Ap, r_theta]; A_cols_2 holds the compressed rows U'A.
+
+    Evaluated as mu_sigma_min on the k <= 2 rows, which keeps its relative
+    accuracy as mu / ||r_theta|| falls, where the eigenvalue formula
+    cancels (down to 0 near convergence)."""
+    return mu_sigma_min(A_cols_2, np.ravel(Ur)).mu
 
 
 def pair_basis(Ap, r_theta):

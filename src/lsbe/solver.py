@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, _shifts, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
                         ub_generous)
-from .exact import mu_exact, mu_fixed_point
+from .exact import mu_fixed_point, mu_sigma_min
 
 
 @dataclass(frozen=True)
@@ -223,9 +223,12 @@ class _TrueMu:
 
     The secular-equation route keeps full relative accuracy when mu is
     tiny, where the eigenvalue formula loses everything to cancellation
-    against ||r_theta||^2; the eigenvalue route remains as fallback.  Only
-    the singular values and right singular vectors of A are kept: kwf
-    when given, kw_factorization(A) otherwise.
+    against ||r_theta||^2.  Should its Newton iteration not converge, the
+    singular value route mu_sigma_min (O(m n^2) per row, accurate to
+    about eps (||A||_2 + ||r_theta||)) gives the row instead; over the
+    227 true-mu rows of solve-converge on stand-in seeds 1-2 Newton took
+    at most 6 iterations, so it never fires there.  Only the singular values and right singular vectors of
+    A are kept: kwf when given, kw_factorization(A) otherwise.
     """
 
     def __init__(self, A, kwf: KWFactorization | None = None):
@@ -236,7 +239,7 @@ class _TrueMu:
         try:
             return mu_fixed_point(self.A, r_theta, kwf=self.kwf).mu
         except NoConvergence:
-            return mu_exact(self.A, r_theta).mu
+            return mu_sigma_min(self.A, r_theta).mu
 
 
 ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
@@ -596,12 +599,9 @@ def lsmr(A, b, config: SolverConfig | None = None,
     own, as estimate_bounds does.  nu_sketched and the lower bounds move
     by up to about 2.2 eps ||r_theta|| (up to 6.6e-9 relative where a'r
     cancels) and ub_deflation by up to about 3e-15 relative.
-    ub_generous is mu_exact's eigenvalue formula, which cancels in mu^2
-    and so amplifies last-bit moves of its inputs by about
-    ||r_theta|| / mu: it moves by up to 1.04e4 eps ||r_theta|| (5.9e-11
-    relative) on a graded 240 x 90 problem, and by 2.4e6 eps ||r_theta||
-    (2.5e-3 relative) on late rows of solve-converge, where
-    mu/||r_theta|| is near 1e-8 and the formula keeps only a few digits.
+    ub_generous moves by up to 5.8 eps ||r_theta|| on a graded 240 x 90
+    problem and by up to 19 eps ||r_theta|| (3.8e-8 relative) on late
+    rows of solve-converge, where mu/||r_theta|| is near 1e-8.
     The counts and every other column are bit for bit the same.
     Blocks are counted from the first row, so rows do not depend on when
     futures land.  Returns (x, trace, stop_reason) with stop_reason one

@@ -15,7 +15,7 @@ from lsbe.errors import ShiftNotPD, ZeroDeflator
 from lsbe.sketch import SketchOperator, apply_sketch, measure_distortion
 from lsbe.solver import estimate_bounds
 
-from conftest import random_orthogonal, random_orthonormal
+from conftest import attainable, mp_mu, random_orthogonal, random_orthonormal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -524,6 +524,31 @@ def test_ub_generous_near_optimal_direction(rng):
     U = U[:, :rank]
     rows_UA = np.stack([A.T @ U[:, i] for i in range(U.shape[1])])
     assert ub_generous(rows_UA, U.T @ r) == pytest.approx(mu, rel=1e-8)
+
+
+def test_ub_generous_matches_extended_precision(rng):
+    # The graded family of test_mu_fixed_point_matches_extended_precision,
+    # mu/||r|| from about 4e-1 to 2e-13, with the optimal direction: the
+    # bound attains mu, to the accuracy of its rounded inputs.
+    m, n = 10, 4
+    A = rng.standard_normal((m, n)) * np.logspace(0, -1, n)
+    Q, _ = np.linalg.qr(A)
+    r_perp = rng.standard_normal(m)
+    r_perp -= Q @ (Q.T @ r_perp)
+    r_perp /= np.linalg.norm(r_perp)
+    z = rng.standard_normal(n)
+    kwf = _exact_kwf(A)
+    ratios = []
+    for delta in np.logspace(0, -13, 14):
+        r = r_perp + delta * (A @ z)
+        ref = mp_mu(A, r)
+        p = lb_direction(kwf, A.T @ r, float(np.linalg.norm(r)), mu_est=ref)
+        U, rank = pair_basis(A @ (p / np.linalg.norm(p)), r)
+        U = U[:, :rank]
+        ub = ub_generous(np.stack([A.T @ u for u in U.T]), U.T @ r)
+        assert abs(ub - ref) <= attainable(A, r, ref), (delta, ub, ref)
+        ratios.append(ref / np.linalg.norm(r))
+    assert max(ratios) >= 1e-1 and min(ratios) <= 1e-12
 
 
 def test_upper_bound_ordering_sweep(rng):

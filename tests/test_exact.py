@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,9 +9,9 @@ from lsbe import (kw_factorization, mu_all_methods, mu_exact, mu_fixed_point,
                   mu_gevp, mu_sigma_min)
 from lsbe.errors import NoConvergence
 
-pytestmark = pytest.mark.threaded_blas
+from conftest import attainable, mp_mu
 
-EPS = np.finfo(float).eps
+pytestmark = pytest.mark.threaded_blas
 
 
 def test_mu_exact_ones():
@@ -79,31 +77,6 @@ def test_mu_fixed_point_accepts_cached_svd(rng):
     assert res.mu == pytest.approx(mu_fixed_point(A, r).mu, rel=1e-14)
 
 
-def _attainable(A, r, ref):
-    """Relative 1e-9 plus the eps-scaled floor of a double-precision route
-    on the stored data."""
-    m = A.shape[0]
-    scale = float(np.linalg.norm(A, 2)) + float(np.linalg.norm(r))
-    return 1e-9 * ref + 16.0 * math.sqrt(m) * EPS * scale
-
-
-def _mp_mu(A, r):
-    """mu(A, r) = min(||r||, sigma_min([A, ||r|| (I - r r+)])) to 50 digits
-    on the stored double data."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        m = len(r)
-        rm = [mpmath.mpf(float(v)) for v in r]
-        nr2 = mpmath.fsum(v * v for v in rm)
-        nr = mpmath.sqrt(nr2)
-        W = mpmath.matrix(
-            [[mpmath.mpf(float(v)) for v in A[i]]
-             + [nr * ((i == j) - rm[i] * rm[j] / nr2) for j in range(m)]
-             for i in range(m)])
-        smin = min(mpmath.svd_r(W, compute_uv=False))
-        return float(min(nr, smin))
-
-
 def test_mu_fixed_point_matches_extended_precision(rng):
     # r = r_perp + delta A z sweeps mu/||r|| from about 4e-1 to 2e-13.
     m, n = 10, 4
@@ -116,9 +89,9 @@ def test_mu_fixed_point_matches_extended_precision(rng):
     ratios = []
     for delta in np.logspace(0, -13, 14):
         r = r_perp + delta * (A @ z)
-        ref = _mp_mu(A, r)
+        ref = mp_mu(A, r)
         mu = mu_fixed_point(A, r).mu
-        assert abs(mu - ref) <= _attainable(A, r, ref), (delta, mu, ref)
+        assert abs(mu - ref) <= attainable(A, r, ref), (delta, mu, ref)
         ratios.append(ref / np.linalg.norm(r))
     assert max(ratios) >= 1e-1 and min(ratios) <= 1e-12
 
@@ -135,7 +108,7 @@ def test_mu_fixed_point_wide_and_rank_deficient(rng, m, n, rank, sparse):
         r = (r_perp + delta * (A @ z)) if m > rank else delta * (A @ z)
         ref = mu_sigma_min(A, r).mu
         mu = mu_fixed_point(As, r).mu
-        assert abs(mu - ref) <= _attainable(A, r, ref), (delta, mu, ref)
+        assert abs(mu - ref) <= attainable(A, r, ref), (delta, mu, ref)
 
 
 
