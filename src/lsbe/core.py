@@ -334,7 +334,11 @@ def _triangular_factor(blocks) -> np.ndarray:
     # faster on its own (kw_factorization of the 8899 x 1019 stand-in in
     # 1.23 against 1.36 s), but on A's side of the lsbe-factor pool, beside
     # a sparse-sign 6n sketch, it slowed the pair from 1.56 to 2.04 s
-    # (medians of 6, one BLAS thread, 2-core host).
+    # (medians of 6, one BLAS thread, 2-core host).  SciPy's f2py dgeqrt
+    # and dtpqrt hold the interpreter lock for the whole call, geqrf does
+    # not: a second Python thread stalled 60-90 ms in an 80-95 ms dgeqrt
+    # of 2000 x 1019 and 17-23 ms in a 22-28 ms dtpqrt fold of 256 x 1019,
+    # against under 8 ms in a 210-250 ms geqrf of the same 2000 x 1019.
     stacked, rows, R = [], 0, None
     for block in blocks:
         if is_sparse(block):

@@ -5,13 +5,18 @@ function of (kind, rows, cols, seed, params), so traces built on top of
 them reproduce bit for bit.  The dense Gaussian sketch is never
 materialized: SketchOperator.row_blocks streams S V in blocks of 256 rows,
 and both apply_sketch and kw_factorization(A, sketch=S) consume that one
-stream.  While the calling thread scales block i and takes its product
-with V, one helper thread draws block i+1 from the seeded generator into
-the other of two reused buffers (block i+2 is queued as soon as block i's
-buffer is free).  The draw releases the interpreter lock, so it runs on a
-second core when one is free; on one core the blocks run in sequence.
-The draws happen in stream order either way, so the output does not
-depend on the scheduling.
+stream.  Each block of S is drawn transposed, as a C-ordered cols x 256
+array from one SFC64 generator, the layout in which a sparse V.T and a
+dense V read it without a copy; S therefore depends on the block size.
+While the calling thread scales block i and takes its product with V,
+one helper thread draws block i+1 into the other of two reused buffers
+(block i+2 is queued as soon as block i's buffer is free).  The draw
+releases the interpreter lock, so it runs on a second core when one is
+free; on one core the blocks run in sequence.  The draws happen in stream
+order either way, so the output does not depend on the scheduling.  A
+sparse-sign sketch is drawn whole, in nine generator calls whatever its
+size: eight vectorized steps of Floyd's sampling pick each column's 8
+rows, one call draws every sign.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import scipy.sparse as sp
 from .core import TOL_RANK, is_sparse
 from .errors import RankDeficient, ShapeMismatch
 
+# Rows per Gaussian block.  Each block is drawn transposed, so this is part
+# of the definition of a Gaussian S, not a tuning knob.
 _GAUSS_BLOCK = 256
 
 # Nonzeros per column of a sparse-sign sketch: zeta = 8 (Martinsson &
@@ -91,9 +98,11 @@ class SketchOperator:
 
         V has self.cols rows (dense, sparse or 1-D; a 1-D V gives 1-D
         blocks).  A Gaussian sketch of more than 256 rows yields blocks of
-        256 rows, drawn ahead on a helper thread that is joined before the
-        generator finishes, raises or is closed.  Every other input yields
-        the whole product as one block and starts no thread.
+        256 rows, each drawn transposed (cols x 256, C order, SFC64) ahead
+        on a helper thread that is joined before the generator finishes,
+        raises or is closed; the block size is part of the definition of
+        S, not a knob.  Every other input yields the whole product as one
+        block and starts no thread.
         """
         V, squeeze = _as_input(self, V)
         if self.kind == "gaussian":
@@ -122,18 +131,21 @@ def _synthetic_parts(S: SketchOperator):
     return lift, u_plus, u_minus
 
 
-def _sparse_sign_matrix(S: SketchOperator) -> sp.csr_matrix:
+def _sparse_sign_matrix(S: SketchOperator) -> sp.csc_matrix:
+    """S as a canonical CSC matrix, drawn for all columns at once: each
+    column's 8 rows are a uniform 8-subset of range(rows) by Floyd's
+    algorithm (step j draws t from [0, j] and takes j where t repeats an
+    earlier pick), then one call draws every sign."""
     rng = np.random.default_rng(S.seed)
     nnz = _SPARSE_SIGN_NNZ
-    rows_idx = np.empty(S.cols * nnz, dtype=np.int64)
-    vals = np.empty(S.cols * nnz)
-    scale = 1.0 / np.sqrt(nnz)
-    for j in range(S.cols):
-        sl = slice(j * nnz, (j + 1) * nnz)
-        rows_idx[sl] = rng.choice(S.rows, size=nnz, replace=False)
-        vals[sl] = scale * (2.0 * rng.integers(0, 2, size=nnz) - 1.0)
-    cols_idx = np.repeat(np.arange(S.cols), nnz)
-    return sp.csr_matrix((vals, (rows_idx, cols_idx)),
+    picks = np.empty((S.cols, nnz), dtype=np.int64)
+    for step, j in enumerate(range(S.rows - nnz, S.rows)):
+        t = rng.integers(0, j + 1, size=S.cols)
+        repeat = (picks[:, :step] == t[:, None]).any(axis=1)
+        picks[:, step] = np.where(repeat, j, t)
+    picks.sort(axis=1)
+    vals = (2.0 * rng.integers(0, 2, size=picks.size) - 1.0) / np.sqrt(nnz)
+    return sp.csc_matrix((vals, picks.ravel(), nnz * np.arange(S.cols + 1)),
                          shape=(S.rows, S.cols))
 
 
@@ -153,20 +165,23 @@ def _as_input(S: SketchOperator, V):
 
 
 def _gaussian_blocks(S: SketchOperator, V, squeeze: bool):
-    """S V for a Gaussian S in blocks of _GAUSS_BLOCK rows, each block of S
-    drawn from one generator into one of two reused buffers."""
-    rng = np.random.default_rng(S.seed)
+    """S V for a Gaussian S in blocks of _GAUSS_BLOCK rows.  Block i of S
+    is the transpose of a C-ordered (cols, b_i) array drawn from one SFC64
+    generator into one of two reused flat buffers, so S depends on the
+    block size; a sparse V.T and a dense V read that layout uncopied."""
+    rng = np.random.Generator(np.random.SFC64(S.seed))
     scale = 1.0 / np.sqrt(S.rows)
     sizes = [min(_GAUSS_BLOCK, S.rows - start)
              for start in range(0, S.rows, _GAUSS_BLOCK)]
-    buffers = [np.empty((sizes[0], S.cols)) for _ in sizes[:2]]
+    buffers = [np.empty(S.cols * sizes[0]) for _ in sizes[:2]]
 
     def draw(i):
-        return rng.standard_normal(out=buffers[i % 2][:sizes[i]])
+        flat = buffers[i % 2][:S.cols * sizes[i]]
+        return rng.standard_normal(out=flat.reshape(S.cols, sizes[i]))
 
-    def product(block):
-        block *= scale
-        out = (V.T @ block.T).T if is_sparse(V) else block @ V
+    def product(block_t):
+        block_t *= scale
+        out = (V.T @ block_t).T if is_sparse(V) else block_t.T @ V
         return out[:, 0] if squeeze else out
 
     if len(sizes) == 1:

@@ -743,12 +743,16 @@ def _factorizations(A, sketch, exact: bool):
     """Yield futures (kwf, exact): kw_factorization(A, sketch=sketch) and,
     when exact is true, kw_factorization(A) (else None), computed on the
     one two-worker lsbe-factor pool of lsbe estimate, lsbe solve and the
-    trace criterion.  LAPACK releases the interpreter lock, so on two
-    free cores the pair costs about the longer of the two.  Leaving the
-    block waits for both, even on an error or an interrupt."""
+    trace criterion.  Their QRs (geqrf) and SVDs release the interpreter
+    lock, so on two free cores the pair costs about the longer of the two;
+    SciPy's f2py dtpqrt, which folds each later Gaussian block into the
+    sketch's R, does not.  Leaving the block waits for both, even on an
+    error or an interrupt."""
     with ThreadPoolExecutor(max_workers=2,
                             thread_name_prefix="lsbe-factor") as pool:
-        # A first: the sparse-sign draw holds the GIL and would hold A back.
+        # The order does not matter: with a sparse-sign 6n sketch the pair
+        # on the stand-in took 1.77 s with A first and 1.81 s with the
+        # sketch first (medians of 8, one BLAS thread).
         exact = pool.submit(kw_factorization, A) if exact else None
         yield pool.submit(kw_factorization, A, sketch=sketch), exact
 

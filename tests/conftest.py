@@ -43,10 +43,10 @@ def assert_rows_close(got, want, exact=EXACT_COLUMNS):
     1e6 times above ||r_theta||.
 
     Measured worst cases of |got - want| / (eps ||r_theta||): the
-    400 x 40 regression trace against its per-row recording, nu 0.82,
-    lb_fresh 1.33, lb_refined 1.64, lb_recycled 0.83 (1.0e-12
-    relative, where a'r cancels), ub_generous 2.9 and ub_deflation 579
-    (7.3e-16 relative); blocks of 32 against blocks of one on the
+    400 x 40 regression trace against its per-row recording, nu 0.94,
+    lb_fresh 1.74, lb_refined 1.64, lb_recycled 0.42 (5.2e-13
+    relative, where a'r cancels), ub_generous 2.6 and ub_deflation 304
+    (5.3e-16 relative); blocks of 32 against blocks of one on the
     240 x 90 blocked problem, nu 0.054, lb_* 0.19 (lb_recycled, 6.2e-10
     relative), ub_deflation 124 (3.2e-15 relative) and ub_generous 5.8
     (3.3e-14 relative).  On lsbe solve with the benchmark's

@@ -68,37 +68,46 @@ def test_gaussian_norm_preservation_over_seeds(rng):
     assert abs(np.mean(vals) - 1.0) <= 0.05
 
 
+def _gaussian_materialized(rows, cols, seed):
+    """The Gaussian S in full: block i of 256 rows (fewer in the last) is
+    the transpose of a (cols, b_i) draw, the blocks drawn in turn from one
+    SFC64 generator."""
+    rng = np.random.Generator(np.random.SFC64(seed))
+    return np.vstack([rng.standard_normal((cols, min(256, rows - start))).T
+                      for start in range(0, rows, 256)]) / np.sqrt(rows)
+
+
 def test_gaussian_streaming_matches_materialized():
-    # Row blocks drawn sequentially from one generator reproduce the full
-    # matrix draw, so the blocked product equals the dense one.
+    # The blocked product equals the dense one with S assembled from its
+    # transposed blocks.
     rows, m = 600, 12  # spans multiple internal blocks
     seed = 21
     V = np.random.default_rng(99).standard_normal((m, 2))
-    S_full = (np.random.default_rng(seed).standard_normal((rows, m))
-              / np.sqrt(rows))
+    S_full = _gaussian_materialized(rows, m, seed)
     out = apply_sketch(SketchOperator(kind="gaussian", rows=rows, cols=m,
                                       seed=seed), V)
     assert np.allclose(out, S_full @ V, rtol=0, atol=1e-13)
 
 
 def _gaussian_block_loop(S, V):
-    """The single-thread Gaussian apply: draw a block of 256 rows, scale
-    it, take its product with V, repeat."""
+    """The single-thread Gaussian apply: draw the transpose of a block of
+    256 rows from the SFC64 generator, scale it, take its product with V,
+    repeat."""
     squeeze = False
     if not sp.issparse(V):
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
             V, squeeze = V[:, None], True
-    rng = np.random.default_rng(S.seed)
+    rng = np.random.Generator(np.random.SFC64(S.seed))
     scale = 1.0 / np.sqrt(S.rows)
     out = np.empty((S.rows, V.shape[1]))
     for start in range(0, S.rows, 256):
         stop = min(start + 256, S.rows)
-        block = rng.standard_normal((stop - start, S.cols)) * scale
+        block_t = rng.standard_normal((S.cols, stop - start)) * scale
         if sp.issparse(V):
-            out[start:stop] = (V.T @ block.T).T
+            out[start:stop] = (V.T @ block_t).T
         else:
-            out[start:stop] = block @ V
+            out[start:stop] = block_t.T @ V
     return out[:, 0] if squeeze else out
 
 
@@ -161,19 +170,78 @@ def test_gaussian_determinism(rng):
 
 
 def test_sparse_sign_structure():
-    S = SketchOperator(kind="sparse_sign", rows=50, cols=20, seed=1)
-    M = _sparse_sign_matrix(S).toarray()
-    assert M.shape == (50, 20)
-    counts = (M != 0).sum(axis=0)
-    assert np.all(counts == 8)
-    vals = np.unique(np.abs(M[M != 0]))
-    assert np.allclose(vals, 1.0 / np.sqrt(8.0))
+    # Canonical CSC: 8 distinct sorted rows per column, entries +-1/sqrt(8).
+    for rows, cols in [(50, 20), (9, 300), (6114, 400)]:
+        M = _sparse_sign_matrix(SketchOperator(kind="sparse_sign", rows=rows,
+                                               cols=cols, seed=1))
+        assert sp.isspmatrix_csc(M) and M.shape == (rows, cols)
+        assert M.has_canonical_format
+        assert np.array_equal(M.indptr, 8 * np.arange(cols + 1))
+        picks = M.indices.reshape(cols, 8)
+        assert np.all(np.diff(picks, axis=1) > 0)
+        assert picks.min() >= 0 and picks.max() < rows
+        assert np.array_equal(np.abs(M.data),
+                              np.full(8 * cols, 1 / np.sqrt(8)))
+        assert 0 < np.count_nonzero(M.data > 0) < 8 * cols
 
 
 def test_sparse_sign_determinism(rng):
     V = rng.standard_normal((20, 2))
     S = SketchOperator(kind="sparse_sign", rows=50, cols=20, seed=1)
     assert np.array_equal(apply_sketch(S, V), apply_sketch(S, V))
+
+
+def test_sparse_sign_eight_rows_fill_every_column():
+    M = _sparse_sign_matrix(SketchOperator(kind="sparse_sign", rows=8,
+                                           cols=50, seed=3))
+    assert np.array_equal(M.indices, np.tile(np.arange(8), 50))
+
+
+def test_sparse_sign_rows_uniform_over_subsets():
+    # Floyd's draw: with 10 rows each of the 45 subsets of 8 is equally
+    # likely, 1000 of 45000 columns expected (standard deviation 31).
+    M = _sparse_sign_matrix(SketchOperator(kind="sparse_sign", rows=10,
+                                           cols=45000, seed=7))
+    _, counts = np.unique(M.indices.reshape(-1, 8), axis=0,
+                          return_counts=True)
+    assert len(counts) == 45
+    assert np.all(np.abs(counts - 1000) < 6 * 31)
+
+
+def test_sparse_sign_same_seed_same_matrix():
+    def draw(seed):
+        return _sparse_sign_matrix(SketchOperator(kind="sparse_sign",
+                                                  rows=40, cols=30,
+                                                  seed=seed))
+    a, b, c = draw(5), draw(5), draw(6)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert (a != c).nnz > 0
+
+
+@pytest.mark.parametrize("cols", [1, 10, 1000])
+def test_sparse_sign_draw_calls_do_not_grow_with_cols(monkeypatch, cols):
+    # The whole sketch comes from a fixed number of generator calls (8 row
+    # steps and one for the signs), not a Python loop over the columns
+    # that would hold the interpreter lock beside the LSMR recurrence.
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return getattr(self.rng, name)(*args, **kwargs)
+            return call
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    M = _sparse_sign_matrix(SketchOperator(kind="sparse_sign", rows=12,
+                                           cols=cols, seed=1))
+    assert M.shape == (12, cols)
+    assert len(calls) == 9
 
 
 def test_sparse_sign_distortion_moderate(rng):

@@ -567,6 +567,9 @@ def test_true_mu_rejects_bare_operator(rng):
 # R and binding A' once must reproduce them.  The count columns were later
 # re-recorded, each 20 lower, when the power iteration's products moved
 # from the rows to the trace's set-up counts; no other column changed.
+# The six estimator columns were re-recorded, one row per block, when the
+# Gaussian sketch came to be drawn block by block in transposed layout
+# from SFC64; the other seven columns kept their bytes.
 REGRESSION_TRACE = os.path.join(os.path.dirname(__file__), "data",
                                 "lsmr_trace_400x40.csv")
 
