@@ -438,12 +438,13 @@ def criterion_gl7d12(path: str | None = None, seed: int = 0
         drop = trace.est_norm_Atr[0] / max(trace.est_norm_Atr[-1], 1e-300)
         if stop not in ("converged", "max_iters") or drop < 1e6:
             problems.append(f"factor {factor}: stop={stop} drop={drop:.1e}")
-        for row in rows:
+        for row in rows:  # a pair with a bound not computed (NaN) is skipped
             ub = row.ub_generous
             ordered = ((row.lb_fresh, ub), (row.lb_recycled, ub),
                        (ub, row.ub_deflation), (ub, row.norm_Atr / row.norm_r))
             if not all(lo - hi <= _bound_slack(hi, m, row.norm_r_theta)
-                       for lo, hi in ordered):
+                       for lo, hi in ordered
+                       if not (math.isnan(lo) or math.isnan(hi))):
                 problems.append(f"factor {factor} iter {row.iter}: ordering")
                 break
         if factor >= 6:

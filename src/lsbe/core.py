@@ -315,6 +315,12 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     else:
         with contextlib.closing(sketch.row_blocks(M)) as blocks:
             R = _triangular_factor(blocks)
+    # NumPy's SVD gufunc releases the interpreter lock; SciPy's f2py gesdd
+    # holds it.  scipy.linalg.svd(R, overwrite_a=True, check_finite=False)
+    # cut solve-trace peak RSS from 141.7/141.6 to 133.4/133.3 MB (2 runs
+    # each) but raised solve-converge wall from 2.33-2.94 to 3.07-3.55 s
+    # (3 alternating runs of --seconds 8), one BLAS thread on a shared
+    # 2-core Xeon host.  So the SVD stays on NumPy.
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
 

@@ -227,8 +227,9 @@ class _TrueMu:
     singular value route mu_sigma_min (O(m n^2) per row, accurate to
     about eps (||A||_2 + ||r_theta||)) gives the row instead; over the
     227 true-mu rows of solve-converge on stand-in seeds 1-2 Newton took
-    at most 6 iterations, so it never fires there.  Only the singular values and right singular vectors of
-    A are kept: kwf when given, kw_factorization(A) otherwise.
+    at most 6 iterations, so it never fires there.  Only the singular
+    values and right singular vectors of A are kept: kwf when given,
+    kw_factorization(A) otherwise.
     """
 
     def __init__(self, A, kwf: KWFactorization | None = None):

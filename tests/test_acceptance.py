@@ -121,3 +121,30 @@ def test_c9_gl7d12_criterion_on_a_small_matrix(tmp_path, monkeypatch):
         assert np.array_equal([astuple(row) for row in own.rows],
                               [astuple(row) for row in trace.rows],
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("edit, passes", [
+    # A row with A'r_theta = 0 has no direction and so a NaN ub_generous:
+    # C9 compares only the pairs both of whose bounds the row computed.
+    (lambda row: replace(row, ub_generous=float("nan")), True),
+    (lambda row: replace(row, lb_fresh=2.0 * row.ub_generous), False)],
+    ids=["nan-ub-skipped", "out-of-order-fails"])
+def test_c9_orders_only_computed_bounds(tmp_path, monkeypatch, edit,
+                                        passes):
+    # criterion_gl7d12 on a seeded 200 x 20 matrix taken as the expected
+    # shape, with edit applied to the last row of every trace.
+    m, n = 200, 20
+    A = sp.random(m, n, density=0.2, random_state=np.random.RandomState(9),
+                  format="csc") + sp.eye(m, n, format="csc")
+    path = str(tmp_path / "tiny.mtx")
+    scipy.io.mmwrite(path, sp.csc_matrix(A @ sp.diags(np.logspace(0, -2, n))))
+    monkeypatch.setattr(acceptance, "GL7D12_SHAPE", (m, n))
+
+    def edited_run(*args, **kwargs):
+        x, trace, stop = lsbe.solver._traced_run(*args, **kwargs)
+        trace.rows[-1] = edit(trace.rows[-1])
+        return x, trace, stop
+    monkeypatch.setattr(acceptance, "_traced_run", edited_run)
+    result = acceptance.criterion_gl7d12(path)
+    assert result.passed == passes and not result.skipped, result.detail
+    assert passes or "ordering" in result.detail
