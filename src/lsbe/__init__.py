@@ -15,7 +15,7 @@ from .pencil import (HyperbolicCS, JSignature, PencilEigen, hyperbolic_cs,
                      j_pencil_eig, tr_minus)
 from .sketch import SketchOperator, apply_sketch, measure_distortion
 from .solver import (TRACE_COLUMNS, SolverConfig, SolverTrace, TraceRow,
-                     estimate_bounds, lsmr, recycle_policy)
+                     estimate_bounds, lsmr)
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "brute_force_max",
     "SketchOperator", "apply_sketch", "measure_distortion",
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "lsmr", "recycle_policy", "estimate_bounds",
+    "lsmr", "estimate_bounds",
     "__version__",
 ]

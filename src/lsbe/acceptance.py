@@ -161,7 +161,7 @@ def criterion_attainment(n_instances: int = 200, n_random_p: int = 10_000,
             mu *= 0.5
         values, (fresh,), _, _ = _estimate_row(
             MatrixOperator(A), kw_factorization(A), r[None],
-            [float(np.linalg.norm(r))], (A.T @ r)[None], mu, [0])
+            [float(np.linalg.norm(r))], (A.T @ r)[None], mu)
         attained = fresh is not None and fresh.mu_est_used == mu
         worst_attain = max(worst_attain, (
             abs(float(values["lb_fresh"][0]) - mu) / max(mu, 1e-300)
@@ -257,7 +257,7 @@ def criterion_sketched_lb(n_synth: int = 100, n_gauss: int = 100,
     def lb_for(A, r, S):
         values, _, _, _ = _estimate_row(
             MatrixOperator(A), kw_factorization(A, sketch=S), r[None],
-            [float(np.linalg.norm(r))], (A.T @ r)[None], 0.0, [0])
+            [float(np.linalg.norm(r))], (A.T @ r)[None], 0.0)
         return float(values["lb_fresh"][0])
 
     for eta in (0.1, 0.3, 0.5):

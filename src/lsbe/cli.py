@@ -142,7 +142,6 @@ def cmd_solve(args) -> int:
         atol=args.atol,
         max_iters=args.max_iters,
         estimate_every=args.estimate_every,
-        recycle_threshold=args.recycle_threshold,
         refine_steps=args.refine_steps,
         compute_true_mu=(args.true_mu == "on"),
         theta=args.theta,
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--atol", type=float, default=1e-12)
     sol.add_argument("--max-iters", type=int, default=None)
     sol.add_argument("--estimate-every", type=int, default=1)
-    sol.add_argument("--recycle-threshold", type=float, default=1e-12)
     sol.add_argument("--refine-steps", type=int, default=0)
     sol.add_argument("--true-mu", choices=["on", "off"], default="off")
     sol.add_argument("--norm-a2", type=float, default=None)

@@ -26,7 +26,6 @@ class RecycledDirection:
 
     p: np.ndarray
     Ap: np.ndarray
-    born_at: int = 0
     mu_est_used: float = 0.0
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ import math
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -33,23 +32,22 @@ class SolverConfig:
     """Knobs for a solver run.
 
     atol drives the normwise stopping test ||A'r|| <= atol ||A||_F ||r||;
-    estimate_every sets the trace cadence; recycle_threshold is compared
-    against the recycled bound relative to ||A||_2; refine_steps counts
-    refinement passes per trace row (0 disables); compute_true_mu adds the
-    exact backward error to each row (A is densified only while it is
+    estimate_every sets the trace cadence; refine_steps counts refinement
+    passes per trace row (0 disables); compute_true_mu adds the exact
+    backward error to each row (A is densified only while it is
     factored, keeping s and V, and lsmr takes that factorization as
     exact= when the caller already has it, as `lsbe solve --true-mu on`
     does, from a future computed beside the recurrence; each row costs
     O(nnz + n^2));
     theta is the residual weighting, math.inf meaning normalization by
     ||x||.  norm_A_2 may supply a known spectral norm, otherwise it is
-    estimated by power iteration at setup.
+    estimated by power iteration at setup.  No knob governs lb_recycled:
+    each row takes it on the most recent earlier row's fresh direction.
     """
 
     atol: float = 1e-12
     max_iters: int | None = None
     estimate_every: int = 1
-    recycle_threshold: float = 1e-12
     refine_steps: int = 0
     compute_true_mu: bool = False
     theta: float = math.inf
@@ -64,8 +62,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1 (or None)")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be nonnegative")
-        if not (self.recycle_threshold >= 0):  # rejects NaN too
-            raise ValueError("recycle_threshold must be nonnegative")
         if not (self.theta > 0):  # rejects NaN and nonpositive values
             raise ValueError("theta must be positive (math.inf allowed)")
         if self.norm_A_2 is not None and not (
@@ -180,12 +176,13 @@ def _power_spectral_norm(ops: MatrixOperator) -> float:
     return math.sqrt(sigma2)
 
 
-def _resolved_norm(A, config: SolverConfig):
+def _resolved_norm(A, config: SolverConfig, norm_A_fro: float | None = None):
     """(config, products): config with norm_A_2 set, unless given, by
     _power_spectral_norm on an operator of its own, and the (matvecs,
     rmatvecs) that spent.  A norm of 0 (A = 0) is not stored, since
-    SolverConfig rejects it."""
-    if config.norm_A_2 is not None:
+    SolverConfig rejects it; a known norm_A_fro of 0 gives it without a
+    product, so lsmr does not repeat _traced_run's power iteration."""
+    if config.norm_A_2 is not None or norm_A_fro == 0.0:
         return config, (0, 0)
     power = MatrixOperator(A)
     norm_A_2 = _power_spectral_norm(power)
@@ -201,21 +198,6 @@ def seeded_rhs(A, norm_A_2: float, rng) -> np.ndarray:
     x_true = rng.standard_normal(n) / math.sqrt(n)
     w = rng.standard_normal(m) / math.sqrt(m)
     return A @ x_true + 1e-4 * norm_A_2 * w
-
-
-def recycle_policy(row: TraceRow, config: SolverConfig) -> str:
-    """Decide whether a recycled direction is still useful.
-
-    Recompute when the recycled bound, relative to ||A||_2, has fallen
-    below the configured threshold; keep otherwise.  Only row.lb_recycled
-    is read, so row may be any object with it (the solver passes a row's
-    estimator values before the row is built).  config.norm_A_2 must be
-    resolved (the solver always passes a resolved config).
-    """
-    if config.norm_A_2 is None:
-        raise ValueError("recycle_policy needs a resolved norm_A_2")
-    rel = row.lb_recycled / config.norm_A_2
-    return "recompute" if rel < config.recycle_threshold else "keep"
 
 
 class _TrueMu:
@@ -249,16 +231,18 @@ ESTIMATE_COLUMNS = ("nu_sketched", "lb_fresh", "lb_refined", "lb_recycled",
 
 def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
                     At_r_theta, mu_est: float = 0.0, refine_steps: int = 0,
-                    direction: RecycledDirection | None = None, itn: int = 0):
+                    direction: RecycledDirection | None = None):
     """Evaluate the sketched estimator suite on one weighted residual.
 
-    Returns (values, fresh): values maps each name in ESTIMATE_COLUMNS to a
-    float (NaN when not computed), and fresh is the new RecycledDirection
-    (None when the direction is zero).  The direction solve
-    resets mu_est to 0 when the shift is not positive definite; fresh
-    records the value used.  lb_recycled is evaluated on direction, or on
-    fresh when direction is None.  Products go through ops; norm_r_theta
-    is passed in so callers keep their own rounding of ||r_theta||.
+    Returns (values, carried): values maps each name in ESTIMATE_COLUMNS
+    to a float (NaN when not computed), and carried is the
+    RecycledDirection the next row's lb_recycled uses: this row's fresh
+    direction, or direction when the fresh one is zero (A'r_theta = 0).
+    The direction solve resets mu_est to 0 when the shift is not positive
+    definite; the fresh direction records the value used.  lb_recycled is
+    evaluated on direction, or on the fresh one when direction is None
+    (0 without either).  Products go through ops; norm_r_theta is passed
+    in so callers keep their own rounding of ||r_theta||.
 
     This is lsmr's estimator pass on a block of one row, and gives that
     row bit for bit.  lsmr runs the pass on blocks of rows, whose
@@ -266,47 +250,49 @@ def estimate_bounds(ops, kwf: KWFactorization, r_theta, norm_r_theta: float,
     the block, so there the estimator columns may move in their last bits
     against this call (see lsmr).
     """
-    (values,), _, fresh = _estimate_rows(
-        ops, kwf, [r_theta], [norm_r_theta], [At_r_theta], [itn],
-        refine_steps, direction, mu_est=mu_est)
-    return values, fresh
+    (values,), _, carried = _estimate_rows(
+        ops, kwf, [r_theta], [norm_r_theta], [At_r_theta], refine_steps,
+        direction, mu_est=mu_est)
+    return values, carried
 
 
-def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R, itns,
+def _estimate_rows(ops, kwf: KWFactorization, R, norms, At_R,
                    refine_steps: int, direction: RecycledDirection | None,
-                   config: SolverConfig | None = None, mu_est: float = 0.0):
+                   mu_est: float = 0.0):
     """The estimator suite on a block of weighted residuals R (with their
-    norms, A'R rows and iterations), stage by stage.
+    norms and A'R rows), stage by stage.
 
-    First the block's lower-bound step (_estimate_row).  Then, in row
-    order, lb_recycled on the direction carried in and the recycle
-    decision, so the next row sees the direction carried on: with config,
-    as recycle_policy decides, else the row's own fresh direction (None
-    without one).  Then the upper bounds from the rows' fresh Ap, on
-    stacks of ROW_CHUNK rows: the deflators with ub_deflation and the
-    pair bases, an rmatvec per nonzero deflator and per basis column, and
-    ub_generous per row.  Then each refinement step is one lb_refine on
-    the stack of the rows' directions (a matvec and an rmatvec per row,
-    and one batched solve with kwf), and each refined direction is
-    evaluated with one matvec (none when it is zero) and lb_refined, again
-    on stacks of ROW_CHUNK rows.  Returns (values, spent, direction): per row
-    a dict over ESTIMATE_COLUMNS and the (matvecs, rmatvecs) its
-    estimates cost, and the direction carried out of the block.
+    First the block's lower-bound step (_estimate_row).  Then lb_recycled,
+    each row on the most recent earlier fresh direction: the direction
+    carried in (the first row's own when that is None), and a row without
+    a fresh direction passes the earlier one on.  It costs no product:
+    mu_rank_one on stacks of ROW_CHUNK rows of the carried Ap, a zero row
+    (so lb_recycled 0) where no direction is carried.  Then the upper
+    bounds from the rows' fresh Ap, on stacks of ROW_CHUNK rows: the
+    deflators with ub_deflation and the pair bases, an rmatvec per nonzero
+    deflator and per basis column, and ub_generous per row.  Then each
+    refinement step is one lb_refine on the stack of the rows' directions
+    (a matvec and an rmatvec per row, and one batched solve with kwf), and
+    each refined direction is evaluated with one matvec (none when it is
+    zero) and lb_refined, again on stacks of ROW_CHUNK rows.  Returns
+    (values, spent, direction): per row a dict over ESTIMATE_COLUMNS and
+    the (matvecs, rmatvecs) its estimates cost, and the direction carried
+    out of the block.
     """
     R = np.ascontiguousarray(R, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    cols, fresh, P, AP = _estimate_row(ops, kwf, R, norms, At_R, mu_est,
-                                       itns)
+    cols, fresh, P, AP = _estimate_row(ops, kwf, R, norms, At_R, mu_est)
     for col in ESTIMATE_COLUMNS:
         cols.setdefault(col, np.full(len(R), math.nan))
-    for i, (r, new) in enumerate(zip(R, fresh)):
-        recycled = new if direction is None else direction
-        lb = 0.0 if recycled is None else mu_rank_one(recycled.Ap, r)
-        cols["lb_recycled"][i] = lb
-        if config is None or (new is not None and (
-                direction is None or recycle_policy(
-                    SimpleNamespace(lb_recycled=lb), config) == "recompute")):
-            direction = new
+    carried_Ap = np.zeros_like(R)
+    for i, new in enumerate(fresh):
+        carried = direction or new
+        if carried is not None:
+            carried_Ap[i] = carried.Ap
+        direction = new or direction
+    for lo in range(0, len(R), ROW_CHUNK):
+        c = slice(lo, lo + ROW_CHUNK)
+        cols["lb_recycled"][c] = mu_rank_one(carried_Ap[c], R[c])
     has = np.array([new is not None for new in fresh])
     at = np.flatnonzero(has)
     matvecs, rmatvecs = has.astype(int), np.zeros(len(R), dtype=int)
@@ -363,11 +349,11 @@ def _rows(mask, *stacks):
     return stacks if mask.all() else tuple(X[mask] for X in stacks)
 
 
-def _estimate_row(ops, kwf, R, norms, At_R, mu_est, itns):
+def _estimate_row(ops, kwf, R, norms, At_R, mu_est):
     """The lower-bound step of a block of rows, which lsmr, lsbe estimate
     and the acceptance criteria run (the last two on a block of one): R
-    (k, m) weighted residuals, with their norms, A'R rows (k, n) and
-    iterations, and one mu_est that every row starts from.
+    (k, m) weighted residuals, with their norms and A'R rows (k, n), and
+    one mu_est that every row starts from.
 
     Returns (cols, fresh, P, AP).  cols maps nu_sketched and lb_fresh to
     arrays (k,).  P (k, n) holds the direction solves, zero on rows with
@@ -414,7 +400,7 @@ def _estimate_row(ops, kwf, R, norms, At_R, mu_est, itns):
                 continue
             p_hat = P[i] / norm_P[i]
             AP[i] = ops.matvec(p_hat)
-            fresh[i] = RecycledDirection(p=p_hat, Ap=AP[i], born_at=itns[i],
+            fresh[i] = RecycledDirection(p=p_hat, Ap=AP[i],
                                          mu_est_used=mu_used[i])
         lb[c] = mu_rank_one(AP[c], R[c])
     return {"nu_sketched": nu, "lb_fresh": lb}, fresh, P, AP
@@ -544,16 +530,16 @@ class _Rows:
                 norm_rth = cth * norm_r
                 if self.true_mu is not None:
                     mu_t = self.true_mu(r_th)
-                weighted.append((len(rows), itn, r_th, norm_rth, cth * At_r))
+                weighted.append((len(rows), r_th, norm_rth, cth * At_r))
             rows.append(dict(iter=itn, norm_r=norm_r, norm_Atr=norm_Atr,
                              norm_r_theta=norm_rth, mu_true=mu_t,
                              **dict.fromkeys(ESTIMATE_COLUMNS, math.nan)))
         spent = [(1, 1)] * len(rows)  # the refresh
         if weighted and self.kwf is not None:
-            at, itns, R, norms, At_R = zip(*weighted)
+            at, R, norms, At_R = zip(*weighted)
             values, products, self.direction = _estimate_rows(
-                ops, self.kwf, R, norms, At_R, itns, config.refine_steps,
-                self.direction, config)
+                ops, self.kwf, R, norms, At_R, config.refine_steps,
+                self.direction)
             for i, v, (mv, rmv) in zip(at, values, products):
                 rows[i].update(v)
                 spent[i] = (1 + mv, 1 + rmv)
@@ -584,9 +570,9 @@ def lsmr(A, b, config: SolverConfig | None = None,
     future that fails stops the run at its next iteration with its
     exception, and lsmr returns only once every future has landed.
     Without config.norm_A_2, ||A||_2 is resolved first by power iteration
-    on an operator of its own: its products go to trace.setup_matvecs and
-    setup_rmatvecs, and the rows count only the recurrence's and the
-    estimator suite's.
+    on an operator of its own (none when ||A||_F = 0): its products go to
+    trace.setup_matvecs and setup_rmatvecs, and the rows count only the
+    recurrence's and the estimator suite's.
 
     Without stop_when, due rows are evaluated in blocks of up to
     ROW_BLOCK consecutive rows (fewer when block * m would exceed n^2, so
@@ -594,12 +580,12 @@ def lsmr(A, b, config: SolverConfig | None = None,
     block is one estimator pass, stage by stage: the coordinates V'A'r
     and the direction solves are two gemms over the block, and so is each
     refinement step; the rest is vector arithmetic over the block, each
-    row bitwise what it gets alone, but for the recycle decisions, taken
-    in row order.  A gemm sums in another order than one row's gemv, so
-    every estimator column may move against evaluating each row on its
-    own, as estimate_bounds does.  nu_sketched and the lower bounds move
-    by up to about 2.2 eps ||r_theta|| (up to 6.6e-9 relative where a'r
-    cancels) and ub_deflation by up to about 3e-15 relative.
+    row bitwise what it gets alone with the direction it carries.  A gemm
+    sums in another order than one row's gemv, so every estimator column
+    may move against evaluating each row on its own, as estimate_bounds
+    does.  nu_sketched and the lower bounds move by up to about 2.2 eps
+    ||r_theta|| (up to 6.6e-9 relative where a'r cancels) and
+    ub_deflation by up to about 3e-15 relative.
     ub_generous moves by up to 5.8 eps ||r_theta|| on a graded 240 x 90
     problem and by up to 19 eps ||r_theta|| (3.8e-8 relative) on late
     rows of solve-converge, where mu/||r_theta|| is near 1e-8.
@@ -622,7 +608,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     if exact is not None and not config.compute_true_mu:
         raise ValueError("exact is the factorization behind compute_true_mu")
     fro_source = "input" if norm_A_fro is not None else "recurrence"
-    config, (setup_mv, setup_rmv) = _resolved_norm(A, config)
+    config, (setup_mv, setup_rmv) = _resolved_norm(A, config, norm_A_fro)
     max_iters = config.max_iters or 5 * min(m, n)
 
     trace = SolverTrace(norm_A_fro=norm_A_fro or 0.0,
@@ -785,5 +771,5 @@ def _traced_run(A, config: SolverConfig, sketch, b=None, seed: int = 0):
 
 __all__ = [
     "SolverConfig", "SolverTrace", "TraceRow", "TRACE_COLUMNS",
-    "lsmr", "recycle_policy", "estimate_bounds",
+    "lsmr", "estimate_bounds",
 ]

@@ -44,12 +44,13 @@ def assert_rows_close(got, want, exact=EXACT_COLUMNS):
 
     Measured worst cases of |got - want| / (eps ||r_theta||): the
     400 x 40 regression trace against its per-row recording, nu 0.94,
-    lb_fresh 1.74, lb_refined 1.64, lb_recycled 0.42 (5.2e-13
-    relative, where a'r cancels), ub_generous 2.6 and ub_deflation 304
-    (5.3e-16 relative); blocks of 32 against blocks of one on the
-    240 x 90 blocked problem, nu 0.054, lb_* 0.19 (lb_recycled, 6.2e-10
-    relative), ub_deflation 124 (3.2e-15 relative) and ub_generous 5.8
-    (3.3e-14 relative).  On lsbe solve with the benchmark's
+    lb_fresh 1.74, lb_refined 1.64, lb_recycled 1.58 (4.2e-16
+    relative), ub_generous 2.6 and ub_deflation 304 (5.3e-16 relative);
+    blocks of 32 against blocks of one on the 240 x 90 blocked problem
+    (a row every 1 or 7 iterations, 0-2 refinement steps), nu 0.063,
+    lb_fresh 0.089, lb_refined 0.21, lb_recycled 0.083 (5.6e-16
+    relative), ub_deflation 82 (1.2e-14 relative) and ub_generous 2.8
+    (1.6e-14 relative).  On lsbe solve with the benchmark's
     solve-converge flags (stand-in seeds 1-3), the lower bounds move up
     to 1.4 and ub_generous up to 19 (3.8e-8 relative, where
     mu / ||r_theta|| nears 1e-8): outside this rule on one late row each

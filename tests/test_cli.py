@@ -301,8 +301,7 @@ def test_solve_manifest_is_strict_json(tmp_path):
     # The default theta is infinite; the manifest spells it "inf", so a
     # parser that rejects NaN and Infinity reads the file.
     out = tmp_path / "t.csv"
-    assert main(["solve", TINY, "--out", str(out),
-                 "--recycle-threshold", "inf"]) == 0
+    assert main(["solve", TINY, "--out", str(out)]) == 0
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -310,7 +309,6 @@ def test_solve_manifest_is_strict_json(tmp_path):
     text = Path(str(out) + ".manifest.json").read_text()
     manifest = json.loads(text, parse_constant=reject)
     assert manifest["solver"]["theta"] == "inf"
-    assert manifest["solver"]["recycle_threshold"] == "inf"
     assert manifest["solver"]["atol"] == 1e-12
 
 
@@ -472,8 +470,6 @@ def test_missing_file_exit_code(tmp_path):
     ("--norm-a2", "-1", "norm_A_2"),
     ("--norm-a2", "nan", "norm_A_2"),
     ("--norm-a2", "inf", "norm_A_2"),
-    ("--recycle-threshold", "nan", "recycle_threshold"),
-    ("--recycle-threshold", "-1", "recycle_threshold"),
     ("--atol", "inf", "atol")])
 def test_solve_rejects_invalid_counts(tmp_path, capsys, flag, value, field):
     out = tmp_path / "t.csv"

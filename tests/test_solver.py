@@ -13,9 +13,8 @@ import scipy.sparse as sp
 
 import lsbe.core
 import lsbe.solver
-from lsbe import (MatrixOperator, SolverConfig, TraceRow, estimate_bounds,
-                  kw_factorization, lsmr, mu_rank_one, mu_sigma_min,
-                  recycle_policy)
+from lsbe import (MatrixOperator, SolverConfig, estimate_bounds,
+                  kw_factorization, lsmr, mu_rank_one, mu_sigma_min)
 from lsbe.acceptance import _bound_slack
 from lsbe.core import theta_scale
 from lsbe.errors import NoConvergence
@@ -140,44 +139,6 @@ def test_sparse_operator_supported(rng):
     assert np.linalg.norm(x - x_ref) <= 1e-6 * max(np.linalg.norm(x_ref), 1)
 
 
-def test_recycle_policy_keep_and_recompute():
-    config = SolverConfig(recycle_threshold=1e-12, norm_A_2=1.0)
-
-    def row_with(lb):
-        return TraceRow(iter=1, norm_r=1, norm_Atr=1, norm_r_theta=1,
-                        nu_sketched=1, lb_fresh=1, lb_refined=1,
-                        lb_recycled=lb, ub_deflation=1, ub_generous=1,
-                        mu_true=math.nan, matvec_count=0, rmatvec_count=0)
-
-    assert recycle_policy(row_with(1e-3), config) == "keep"
-    assert recycle_policy(row_with(0.0), config) == "recompute"
-
-
-def test_recycle_policy_fires_at_first_crossing():
-    # Scripted decreasing bound values: the first recompute happens exactly
-    # at the first value that drops below the relative threshold.
-    config = SolverConfig(recycle_threshold=1e-6, norm_A_2=2.0)
-    values = [1e-2, 1e-3, 1e-4, 1e-5, 2.1e-6, 1.2e-7, 1e-9]
-    decisions = []
-    for v in values:
-        row = TraceRow(iter=1, norm_r=1, norm_Atr=1, norm_r_theta=1,
-                       nu_sketched=1, lb_fresh=1, lb_refined=1,
-                       lb_recycled=v, ub_deflation=1, ub_generous=1,
-                       mu_true=math.nan, matvec_count=0, rmatvec_count=0)
-        decisions.append(recycle_policy(row, config))
-    assert decisions == ["keep"] * 5 + ["recompute", "recompute"]
-
-
-def test_recycle_policy_needs_norm():
-    config = SolverConfig()
-    row = TraceRow(iter=1, norm_r=1, norm_Atr=1, norm_r_theta=1,
-                   nu_sketched=1, lb_fresh=1, lb_refined=1, lb_recycled=1,
-                   ub_deflation=1, ub_generous=1, mu_true=math.nan,
-                   matvec_count=0, rmatvec_count=0)
-    with pytest.raises(ValueError):
-        recycle_policy(row, config)
-
-
 def _ls_problem(rng, m=120, n=10):
     A = rng.standard_normal((m, n))
     norm_A_2 = np.linalg.norm(A, 2)
@@ -207,21 +168,6 @@ def test_matvec_accounting_with_refinement(rng):
         assert cur.rmatvec_count - prev.rmatvec_count == 6
 
 
-def test_lb_recycled_costs_nothing(rng):
-    # Disabling everything except the recycled bound is not a public mode;
-    # instead verify the recycled value never adds products: two configs
-    # differing only in recycle_threshold produce identical counters.
-    A, b = _ls_problem(rng)
-    cfg_lo = SolverConfig(estimate_every=1, recycle_threshold=1e-300)
-    cfg_hi = SolverConfig(estimate_every=1, recycle_threshold=1e-2)
-    _, tr_lo, _ = lsmr(A, b, cfg_lo, _sketch_kwf(A))
-    _, tr_hi, _ = lsmr(A, b, cfg_hi, _sketch_kwf(A))
-    assert [r.matvec_count for r in tr_lo.rows] == \
-        [r.matvec_count for r in tr_hi.rows]
-    assert [r.rmatvec_count for r in tr_lo.rows] == \
-        [r.rmatvec_count for r in tr_hi.rows]
-
-
 def _bounds_args(rng, m=60, n=5):
     A = rng.standard_normal((m, n))
     r = rng.standard_normal(m)
@@ -243,11 +189,11 @@ def test_estimate_bounds_reproduces_trace_row(rng):
     At_r = ops.rmatvec(r)
     values, fresh = estimate_bounds(
         ops, _sketch_kwf(A), cth * r, cth * float(np.linalg.norm(r)),
-        cth * At_r, refine_steps=2, itn=row.iter)
+        cth * At_r, refine_steps=2)
     assert set(values) == set(ESTIMATE_COLUMNS)
     for name in ESTIMATE_COLUMNS:
         assert values[name] == getattr(row, name), name
-    assert fresh.born_at == row.iter and fresh.mu_est_used == 0.0
+    assert fresh.mu_est_used == 0.0
     # Beyond the refresh: a matvec and an rmatvec per refinement step, a
     # matvec each for the fresh and refined directions, and rmatvecs for
     # the deflation vector and the two basis columns.
@@ -267,7 +213,7 @@ def test_estimate_bounds_resets_mu_est_above_sketch_limit(rng):
 
 def test_estimate_bounds_zero_direction(rng):
     # A'r = 0: no direction, no products; the recycled bound still uses
-    # the direction it is given.
+    # the direction it is given, and passes it on to the next row.
     A, r, kwf, norm_r, _ = _bounds_args(rng)
     ops = MatrixOperator(A)
     values, fresh = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5))
@@ -278,9 +224,10 @@ def test_estimate_bounds_zero_direction(rng):
                ("lb_refined", "ub_deflation", "ub_generous"))
     p = np.eye(5)[0]
     old = RecycledDirection(p=p, Ap=A @ p)
-    values, _ = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5),
-                                direction=old)
+    values, carried = estimate_bounds(ops, kwf, r, norm_r, np.zeros(5),
+                                      direction=old)
     assert values["lb_recycled"] == mu_rank_one(A @ p, r)
+    assert carried is old
 
 
 @pytest.mark.threaded_blas
@@ -288,32 +235,35 @@ def test_block_mixes_rows_with_and_without_a_direction(rng):
     # The middle residual has A'r = 0, so no direction: it spends nothing,
     # and the rows around it spend what each spends on its own and get
     # its values to attainable accuracy (the block's solves are gemms).
+    # The first row carries its own direction, and the middle row passes
+    # it on: both later rows take lb_recycled on the first row's Ap.
     A, r, kwf, _, _ = _bounds_args(rng)
     Q = np.linalg.qr(A)[0]
     r_perp = r - Q @ (Q.T @ r)
     R = [rng.standard_normal(60), r_perp, rng.standard_normal(60)]
     At_R = [A.T @ R[0], np.zeros(5), A.T @ R[2]]
     norms = [float(np.linalg.norm(ri)) for ri in R]
-    config = SolverConfig(refine_steps=2, norm_A_2=1.0)
     ops = MatrixOperator(A)
-    values, spent, _ = lsbe.solver._estimate_rows(
-        ops, kwf, R, norms, At_R, [1, 2, 3], 2, None, config)
+    values, spent, carried = lsbe.solver._estimate_rows(
+        ops, kwf, R, norms, At_R, 2, None)
     assert spent[1] == (0, 0)
     assert values[1]["nu_sketched"] == values[1]["lb_fresh"] == 0.0
     assert all(math.isnan(values[1][k]) for k in
                ("lb_refined", "ub_deflation", "ub_generous"))
     assert tuple(map(sum, zip(*spent))) == (ops.matvecs, ops.rmatvecs)
-    kept = None  # the policy keeps the first row's direction
-    for i in (0, 2):
+    direction = None  # the reference carries the most recent fresh one
+    for i in range(3):
         alone = MatrixOperator(A)
-        ref, fresh = estimate_bounds(alone, kwf, R[i], norms[i], At_R[i],
-                                     refine_steps=2, direction=kept,
-                                     itn=i + 1)
-        kept = kept or fresh
+        ref, direction = estimate_bounds(alone, kwf, R[i], norms[i], At_R[i],
+                                         refine_steps=2, direction=direction)
         assert spent[i] == (alone.matvecs, alone.rmatvecs)
         got, want = (SimpleNamespace(iter=i + 1, norm_r_theta=norms[i], **v)
                      for v in (values[i], ref))
         assert_rows_close([got], [want], exact=("norm_r_theta",))
+    # Bitwise: the first row's own Ap, and the last row's carried out.
+    assert values[0]["lb_recycled"] == values[0]["lb_fresh"]
+    assert values[1]["lb_recycled"] > 0.0
+    assert mu_rank_one(carried.Ap, R[2]) == values[2]["lb_fresh"]
 
 
 def _assert_bounds_hold(rows, m):
@@ -467,15 +417,12 @@ def test_config_validation():
     for bad in ({"max_iters": 0}, {"max_iters": -3}, {"refine_steps": -1},
                 {"norm_A_2": 0.0}, {"norm_A_2": -1.0},
                 {"norm_A_2": math.nan}, {"norm_A_2": math.inf},
-                {"recycle_threshold": math.nan},
-                {"recycle_threshold": -1e-12},
                 {"atol": math.inf}, {"atol": math.nan},
                 {"theta": -1.0}, {"theta": 0.0}, {"theta": math.nan}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=1, refine_steps=0).max_iters == 1
     assert SolverConfig(norm_A_2=2.5).norm_A_2 == 2.5
-    assert SolverConfig(recycle_threshold=0.0).recycle_threshold == 0.0
     assert SolverConfig(theta=math.inf).theta == math.inf
 
 
@@ -537,6 +484,25 @@ def test_zero_matrix_converges_at_once():
     assert np.all(x == 0.0)
 
 
+@pytest.mark.parametrize("b", [None, np.ones(40)], ids=["seeded", "given"])
+def test_traced_run_zero_matrix_resolves_norm_once(monkeypatch, b):
+    # _traced_run's power iteration finds ||A||_2 = 0 in one step; lsmr,
+    # seeing ||A||_F = 0, must not run it again.
+    calls = []
+    power = lsbe.solver._power_spectral_norm
+
+    def counted(ops):
+        calls.append(ops)
+        return power(ops)
+    monkeypatch.setattr(lsbe.solver, "_power_spectral_norm", counted)
+    S = SketchOperator(kind="gaussian", rows=12, cols=40, seed=1)
+    x, trace, stop = lsbe.solver._traced_run(sp.csc_matrix((40, 6)),
+                                             SolverConfig(), S, b)
+    assert len(calls) == 1
+    assert (trace.setup_matvecs, trace.setup_rmatvecs) == (1, 1)
+    assert stop == "converged" and not trace.rows and not x.any()
+
+
 def test_true_mu_rejects_bare_operator(rng):
     # An operator with only matvec/rmatvec/shape cannot be factored for
     # the exact backward error: refuse at entry, before any product.
@@ -569,7 +535,10 @@ def test_true_mu_rejects_bare_operator(rng):
 # from the rows to the trace's set-up counts; no other column changed.
 # The six estimator columns were re-recorded, one row per block, when the
 # Gaussian sketch came to be drawn block by block in transposed layout
-# from SFC64; the other seven columns kept their bytes.
+# from SFC64; the other seven columns kept their bytes.  The lb_recycled
+# column was re-recorded, one row per block, when each row came to carry
+# the previous row's fresh direction (a threshold had kept the first row's
+# before); the other twelve columns kept their bytes.
 REGRESSION_TRACE = os.path.join(os.path.dirname(__file__), "data",
                                 "lsmr_trace_400x40.csv")
 
@@ -759,25 +728,20 @@ def test_tall_problem_evaluates_rows_one_by_one(rng):
 @pytest.mark.threaded_blas
 def test_rows_of_one_reproduce_estimate_bounds(rng):
     # Every row evaluated on its own is the estimator suite on its
-    # iterate, with the direction the recycle policy kept.
+    # iterate, with the previous row's fresh direction carried in.
     A, b, kwf = _blocked_problem(rng)
-    config = SolverConfig(estimate_every=1, refine_steps=2, max_iters=8,
-                          recycle_threshold=1e-2)
+    config = SolverConfig(estimate_every=1, refine_steps=2, max_iters=8)
     _, trace, _ = lsmr(A, b, config, kwf, stop_when=lambda row: False)
-    config = replace(config, norm_A_2=trace.norm_A_2)
     direction = None
     for row in trace.rows:
         x = lsmr(A, b, replace(config, max_iters=row.iter), kwf)[0]
         r = b - A @ x
         cth = theta_scale(config.theta, float(np.linalg.norm(x)))
-        values, fresh = estimate_bounds(
+        values, direction = estimate_bounds(
             MatrixOperator(A), kwf, cth * r, cth * float(np.linalg.norm(r)),
-            cth * (A.T @ r), refine_steps=2, direction=direction,
-            itn=row.iter)
+            cth * (A.T @ r), refine_steps=2, direction=direction)
         for name in ESTIMATE_COLUMNS:
             assert values[name] == getattr(row, name), (row.iter, name)
-        if direction is None or recycle_policy(row, config) == "recompute":
-            direction = fresh
 
 
 class _WatchedFuture(Future):
