@@ -10,12 +10,15 @@ function of its inputs; values are safe to share across threads.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 
 from .errors import DimensionMismatch, RankDeficient, ShiftNotPD
 
@@ -298,23 +301,48 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     with zero rows so the right singular vectors always span all of R^n
     (the Gram matrix M'M is unchanged by the padding).
 
-    The QR is LAPACK geqrf in place on a Fortran-ordered array that the
-    factorization owns: a sparse M is densified into one, a dense M is
-    copied into one (M itself is never written).
+    The QR is a streamed TSQR over chunks of at most 1024 rows, each made
+    dense in Fortran order: chunks are stacked until there are more than
+    n rows, factored in place by LAPACK geqrf, and every later chunk is
+    folded into R by LAPACK dtpqrt in one reused buffer.  So no more than
+    about two chunks of M (or, for n > 1024, the stacked rows) are ever
+    dense at once, and M itself is never written.  A k x n input with
+    k <= 1024 is one chunk, a dense copy factored by geqrf alone: bit for
+    bit np.linalg.qr's triangle with one BLAS thread.
 
-    With a sketch, S M is read from sketch.row_blocks(M).  Rows are stacked
-    until there are more than n, factored by QR, and every later block is
-    folded into R by LAPACK dtpqrt (a streamed TSQR), so only one block of
-    S M is held at a time.  A sketch that yields one block (any kind but a
-    Gaussian of more than 256 rows) takes exactly the path of
+    With a sketch, S M is read from sketch.row_blocks(M), block by block
+    through the same chunks, so only one block of S M is held at a time:
+    256-row blocks of a Gaussian S, and S M whole for the other kinds (a
+    sparse block for a sparse-sign S and a sparse M).  A sketch whose S M
+    is one block of at most 1024 rows takes exactly the path of
     kw_factorization(apply_sketch(sketch, M)).
+
+    Inside a _factorizations pool, the SVD waits for the other
+    factorization's SVD to finish, so the two never run at once.
     """
     if sketch is None:
         R = _triangular_factor(
-            [M if is_sparse(M) else np.array(M, dtype=float, order="F")])
+            [M if is_sparse(M) else np.asarray(M, dtype=float)], owned=False)
     else:
         with contextlib.closing(sketch.row_blocks(M)) as blocks:
-            R = _triangular_factor(blocks)
+            R = _triangular_factor(blocks, owned=True)
+    with getattr(_svd_turns, "lock", contextlib.nullcontext()):
+        s, Vt = _svd(R)
+    return KWFactorization(singular_values=s, right_vectors=Vt.T)
+
+
+# Per-thread: the lock that the SVDs of one _factorizations pool share.
+_svd_turns = threading.local()
+
+
+def take_svd_turns(lock) -> None:
+    """Make every later kw_factorization on this thread hold lock for its
+    SVD (a ThreadPoolExecutor initializer)."""
+    _svd_turns.lock = lock
+
+
+def _svd(R):
+    """The singular values and V' of R."""
     # NumPy's SVD gufunc releases the interpreter lock; SciPy's f2py gesdd
     # holds it.  scipy.linalg.svd(R, overwrite_a=True, check_finite=False)
     # cut solve-trace peak RSS from 141.7/141.6 to 133.4/133.3 MB (2 runs
@@ -322,7 +350,7 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     # (3 alternating runs of --seconds 8), one BLAS thread on a shared
     # 2-core Xeon host.  So the SVD stays on NumPy.
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
-    return KWFactorization(singular_values=s, right_vectors=Vt.T)
+    return s, Vt
 
 
 # Block size of the compact WY representation inside dtpqrt and
@@ -331,45 +359,125 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
 # 128 for the 1500-3000 x 120-255 pairs of the exact routes.
 _TPQRT_NB = 64
 
+# Rows of M made dense at a time by _triangular_factor.
+_CHUNK = 1024
 
-def _triangular_factor(blocks) -> np.ndarray:
+
+def _lapack_function(name: str, *argtypes):
+    """A LAPACK routine from scipy.linalg.cython_lapack as a ctypes
+    function.  A ctypes call releases the interpreter lock."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# dtpqrt(m, n, l, nb, a, lda, b, ldb, t, ldt, work, info)
+_dtpqrt = _lapack_function("dtpqrt", _INT, _INT, _INT, _INT, _ARRAY, _INT,
+                           _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT)
+
+
+def _fold(R, B) -> None:
+    """Fold the rows of B into the n x n upper triangle R in place (LAPACK
+    dtpqrt with l = 0): afterwards R'R = R0'R0 + B'B, and B holds
+    reflectors.  R and B are Fortran-contiguous float64 arrays.  Bitwise
+    what SciPy's f2py dtpqrt gives with the same block size, but without
+    the interpreter lock, which the f2py wrapper holds for the whole
+    call: a second Python thread stalled 59-81 ms in its 58-80 ms folds
+    of 1024 x 1019 and 19-27 ms in its 18-26 ms folds of 256 x 1019,
+    and 2-5 ms in these (one BLAS thread, 2-core host)."""
+    b, n = B.shape
+    if not (R.shape == (n, n) and R.dtype == B.dtype == np.float64
+            and R.flags.f_contiguous and B.flags.f_contiguous):
+        raise ValueError("_fold needs Fortran-contiguous float64 R (n x n) "
+                         "and B (b x n)")
+    nb = min(_TPQRT_NB, n)
+    T = np.empty((nb, n), order="F")
+    work = np.empty(nb * n)
+    info = ctypes.c_int()
+    c_int = ctypes.c_int
+    _dtpqrt(c_int(b), c_int(n), c_int(0), c_int(nb), R.ctypes.data,
+            c_int(n), B.ctypes.data, c_int(max(1, b)), T.ctypes.data,
+            c_int(nb), work.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dtpqrt failed (info {info.value})")
+
+
+def _triangular_factor(blocks, owned: bool) -> np.ndarray:
     """An n x n (or, while the rows number at most n, zero-padded) matrix T
-    with T'T = M'M, for M given as a sequence of row blocks.  The blocks
-    belong to the factorization, which overwrites them."""
+    with T'T = M'M, for M given as a sequence of dense or sparse row
+    blocks.  The dense blocks belong to the factorization, which may
+    overwrite them, when owned is true; otherwise they are only read."""
     # The first QR stays on geqrf, not compress_pair's dgeqrt: dgeqrt is
     # faster on its own (kw_factorization of the 8899 x 1019 stand-in in
     # 1.23 against 1.36 s), but on A's side of the lsbe-factor pool, beside
     # a sparse-sign 6n sketch, it slowed the pair from 1.56 to 2.04 s
     # (medians of 6, one BLAS thread, 2-core host).  SciPy's f2py dgeqrt
-    # and dtpqrt hold the interpreter lock for the whole call, geqrf does
-    # not: a second Python thread stalled 60-90 ms in an 80-95 ms dgeqrt
-    # of 2000 x 1019 and 17-23 ms in a 22-28 ms dtpqrt fold of 256 x 1019,
-    # against under 8 ms in a 210-250 ms geqrf of the same 2000 x 1019.
-    stacked, rows, R = [], 0, None
+    # holds the interpreter lock for the whole call, geqrf does not: a
+    # second Python thread stalled 60-90 ms in an 80-95 ms dgeqrt of
+    # 2000 x 1019, against under 8 ms in a 210-250 ms geqrf of the same.
+    stacked, rows, R, buffer = [], 0, None, np.empty(0)
     for block in blocks:
-        if is_sparse(block):
-            block = block.toarray(order="F")
-        block = np.asarray(block, dtype=float)
-        n = block.shape[1]
-        if R is not None:
-            R, _, _, info = scipy.linalg.lapack.dtpqrt(
-                0, min(_TPQRT_NB, n), R, block, overwrite_a=True,
-                overwrite_b=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dtpqrt failed (info {info})")
-            continue
-        stacked.append(block)
-        rows += block.shape[0]
-        if rows > n:
-            # geqrf in place; R is the upper triangle of its first n rows.
-            _, R = scipy.linalg.qr(_stack(stacked), mode="raw",
-                                   overwrite_a=True, check_finite=False)
-            stacked = None
+        k, n = block.shape
+        if is_sparse(block) and k > _CHUNK:
+            block = block.tocsr()  # row slices without a search
+        for start in range(0, k, _CHUNK):
+            stop = min(k, start + _CHUNK)
+            # One buffer takes the first chunk and every chunk folded;
+            # the other chunks stacked for the first QR get their own.
+            out = None
+            if not stacked:
+                if len(buffer) < (stop - start) * n:
+                    buffer = np.empty((stop - start) * n)
+                out = buffer
+            chunk = _chunk(block, start, stop, owned, out)
+            if R is not None:
+                _fold(R, chunk)
+                continue
+            stacked.append(chunk)
+            rows += stop - start
+            if rows > n:
+                # geqrf in place; R is the upper triangle of its first n
+                # rows, copied to Fortran order for the folds.  triangle
+                # is kept to the end: freeing it at once raised the peak
+                # RSS of one solve-converge solve from 157-164 to 161-169
+                # MB (6 runs each), the SVD's outputs taking new pages
+                # where they could have reused its memory.
+                _, triangle = scipy.linalg.qr(_stack(stacked), mode="raw",
+                                              overwrite_a=True,
+                                              check_finite=False)
+                R = np.asfortranarray(triangle)
+                stacked = None
     if R is not None:
         return R
     if rows < n:
         stacked.append(np.zeros((n - rows, n)))
     return _stack(stacked)
+
+
+def _chunk(block, start: int, stop: int, owned: bool, buffer=None):
+    """Rows start:stop of a block, dense and Fortran-contiguous: written
+    into the head of buffer when one is given, a new array otherwise.  A
+    whole owned dense block that is already so ordered is used as it
+    is."""
+    whole = (start, stop) == (0, block.shape[0])
+    part = block if whole else block[start:stop]
+    if whole and owned and not is_sparse(block) and block.flags.f_contiguous:
+        return block
+    if buffer is None:
+        out = np.empty(part.shape, order="F")
+    else:
+        out = buffer[:math.prod(part.shape)].reshape(part.shape, order="F")
+    if is_sparse(part):
+        part.astype(float, copy=False).toarray(out=out)
+    else:
+        out[...] = part
+    return out
 
 
 def _stack(blocks) -> np.ndarray:

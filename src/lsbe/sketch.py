@@ -16,7 +16,8 @@ free; on one core the blocks run in sequence.  The draws happen in stream
 order either way, so the output does not depend on the scheduling.  A
 sparse-sign sketch is drawn whole, in nine generator calls whatever its
 size: eight vectorized steps of Floyd's sampling pick each column's 8
-rows, one call draws every sign.
+rows, one call draws every sign.  Its product with a sparse V stays
+sparse until apply_sketch or kw_factorization makes it dense.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class SketchOperator:
         on a helper thread that is joined before the generator finishes,
         raises or is closed; the block size is part of the definition of
         S, not a knob.  Every other input yields the whole product as one
-        block and starts no thread.
+        block and starts no thread; that block is sparse for a sparse-sign
+        S and a sparse V, and dense otherwise.
         """
         V, squeeze = _as_input(self, V)
         if self.kind == "gaussian":
@@ -197,14 +199,14 @@ def _gaussian_blocks(S: SketchOperator, V, squeeze: bool):
             yield block
 
 
-def _apply_whole(S: SketchOperator, V) -> np.ndarray:
+def _apply_whole(S: SketchOperator, V):
     """S V in one piece for the kinds that are not streamed."""
     if S.kind == "identity":
         return V.toarray() if is_sparse(V) else np.array(V, copy=True)
     if S.kind == "sparse_sign":
-        out = _sparse_sign_matrix(S) @ V
-        # Fortran order, so kw_factorization takes its QR in place.
-        return out.toarray(order="F") if is_sparse(out) else out
+        # Sparse for a sparse V: kw_factorization makes it dense a chunk
+        # of rows at a time.
+        return _sparse_sign_matrix(S) @ V
     lift, u_plus, u_minus = _synthetic_parts(S)
     Vd = V.toarray() if is_sparse(V) else V
     scaled = (Vd + S.eta * np.outer(u_plus, u_plus @ Vd)
@@ -218,8 +220,8 @@ def apply_sketch(S: SketchOperator, V) -> np.ndarray:
     the identical action."""
     blocks = S.row_blocks(V)
     first = next(blocks)
-    if len(first) == S.rows:  # the whole product came as one block
-        return first
+    if first.shape[0] == S.rows:  # the whole product came as one block
+        return first.toarray() if is_sparse(first) else first
     out = np.empty((S.rows,) + first.shape[1:])
     start = 0
     for block in itertools.chain([first], blocks):

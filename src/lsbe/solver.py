@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (KWFactorization, MatrixOperator, is_sparse,
-                   kw_factorization, theta_scale)
+                   kw_factorization, take_svd_turns, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, _shifts, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
@@ -34,11 +35,11 @@ class SolverConfig:
     atol drives the normwise stopping test ||A'r|| <= atol ||A||_F ||r||;
     estimate_every sets the trace cadence; refine_steps counts refinement
     passes per trace row (0 disables); compute_true_mu adds the exact
-    backward error to each row (A is densified only while it is
-    factored, keeping s and V, and lsmr takes that factorization as
-    exact= when the caller already has it, as `lsbe solve --true-mu on`
-    does, from a future computed beside the recurrence; each row costs
-    O(nnz + n^2));
+    backward error to each row (A is made dense only a chunk of rows at
+    a time while it is factored, keeping s and V, and lsmr takes that
+    factorization as exact= when the caller already has it, as `lsbe
+    solve --true-mu on` does, from a future computed beside the
+    recurrence; each row costs O(nnz + n^2));
     theta is the residual weighting, math.inf meaning normalization by
     ||x||.  norm_A_2 may supply a known spectral norm, otherwise it is
     estimated by power iteration at setup.  No knob governs lb_recycled:
@@ -585,7 +586,7 @@ def lsmr(A, b, config: SolverConfig | None = None,
     may move against evaluating each row on its own, as estimate_bounds
     does.  nu_sketched and the lower bounds move by up to about 2.2 eps
     ||r_theta|| (up to 6.6e-9 relative where a'r cancels) and
-    ub_deflation by up to about 3e-15 relative.
+    ub_deflation by up to about 1.2e-14 relative.
     ub_generous moves by up to 5.8 eps ||r_theta|| on a graded 240 x 90
     problem and by up to 19 eps ||r_theta|| (3.8e-8 relative) on late
     rows of solve-converge, where mu/||r_theta|| is near 1e-8.
@@ -730,13 +731,14 @@ def _factorizations(A, sketch, exact: bool):
     """Yield futures (kwf, exact): kw_factorization(A, sketch=sketch) and,
     when exact is true, kw_factorization(A) (else None), computed on the
     one two-worker lsbe-factor pool of lsbe estimate, lsbe solve and the
-    trace criterion.  Their QRs (geqrf) and SVDs release the interpreter
-    lock, so on two free cores the pair costs about the longer of the two;
-    SciPy's f2py dtpqrt, which folds each later Gaussian block into the
-    sketch's R, does not.  Leaving the block waits for both, even on an
-    error or an interrupt."""
-    with ThreadPoolExecutor(max_workers=2,
-                            thread_name_prefix="lsbe-factor") as pool:
+    trace criterion.  Their streamed QRs (geqrf, then dtpqrt folds) and
+    their SVDs release the interpreter lock, so on two free cores the QRs
+    overlap.  The SVDs take turns on a lock of this call's own, so the
+    pool never holds two SVD workspaces at once.  Leaving the block waits
+    for both, even on an error or an interrupt."""
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="lsbe-factor",
+                            initializer=take_svd_turns,
+                            initargs=(threading.Lock(),)) as pool:
         # The order does not matter: with a sparse-sign 6n sketch the pair
         # on the stand-in took 1.77 s with A first and 1.81 s with the
         # sketch first (medians of 8, one BLAS thread).

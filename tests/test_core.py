@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,20 +293,86 @@ def test_kw_factorization_streamed_matches_formed(rng, sparse, m, n, rows):
     S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=11)
     streamed = kw_factorization(A, sketch=S)
     formed = kw_factorization(apply_sketch(S, A))
-    s, s_ref = streamed.singular_values, formed.singular_values
+    _assert_factorization_close(streamed, formed.singular_values,
+                                formed.right_vectors)
+    if rows <= n:  # the stacked blocks are S A itself
+        assert np.array_equal(streamed.singular_values,
+                              formed.singular_values)
+        assert np.array_equal(streamed.right_vectors, formed.right_vectors)
+
+
+def _assert_factorization_close(kwf, s_ref, V_ref):
+    """kwf's singular values within 1e-13 relative of s_ref, and its
+    right singular vectors equal to V_ref's up to sign, to within the
+    backward error of the factorization over the gap to the neighbouring
+    singular values: 64 sqrt(n) eps s_1 / gap."""
+    s = kwf.singular_values
     np.testing.assert_allclose(s, s_ref, rtol=1e-13, atol=0)
-    # Singular vectors agree up to sign, to within the backward error of
-    # the factorization over the gap to the neighbouring singular values.
-    V, V_ref = streamed.right_vectors, formed.right_vectors
+    V = kwf.right_vectors
     V = V * np.sign(np.sum(V * V_ref, axis=0))
     padded = np.concatenate([[np.inf], s_ref, [-np.inf]])
     gap = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
     with np.errstate(divide="ignore"):  # the zeros padded in when k < n
-        tol = 64 * np.sqrt(n) * np.finfo(float).eps * s_ref[0] / gap
+        tol = 64 * np.sqrt(len(s)) * EPS * s_ref[0] / gap
     assert np.all(np.linalg.norm(V - V_ref, axis=0) <= tol)
-    if rows <= n:  # the stacked blocks are S A itself
-        assert np.array_equal(s, s_ref)
-        assert np.array_equal(streamed.right_vectors, V_ref)
+
+
+@pytest.mark.parametrize("b, n", [(30, 90), (90, 90), (300, 90), (7, 1),
+                                  (50, 20)])
+def test_fold_matches_f2py_dtpqrt(rng, b, n):
+    # b < n, b = n and b > n with n past the block size, then n = 1 and
+    # n < 64, where the block size is n itself.
+    R = np.asfortranarray(np.triu(rng.standard_normal((n, n))))
+    B = np.asfortranarray(rng.standard_normal((b, n)))
+    want = scipy.linalg.lapack.dtpqrt(
+        0, min(lsbe.core._TPQRT_NB, n), R, B)[0]
+    lsbe.core._fold(R, B)
+    assert np.array_equal(R, want)
+
+
+def test_fold_failure_raises(rng, monkeypatch):
+    R = np.asfortranarray(np.triu(rng.standard_normal((5, 5))))
+    B = np.asfortranarray(rng.standard_normal((3, 5)))
+    for bad in (np.ascontiguousarray(R),            # C order
+                R.astype(np.float32, order="F"),     # not float64
+                np.asfortranarray(R[:4, :4])):       # not n x n
+        with pytest.raises(ValueError, match="Fortran-contiguous float64"):
+            lsbe.core._fold(bad, B)
+    monkeypatch.setattr(lsbe.core, "_TPQRT_NB", 0)  # LAPACK rejects nb < 1
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"dtpqrt failed \(info -4\)"):
+        lsbe.core._fold(R, B)
+
+
+@pytest.mark.parametrize("form, rows", [
+    ("csc", None), ("dense", None),            # A itself
+    ("csc", 960), ("csc", 8000)])              # sparse-sign sketches
+def test_kw_factorization_makes_no_dense_copy(rng, form, rows):
+    # The traced peak stays under a quarter of the dense m x n input: only
+    # chunks of at most 1024 rows are ever dense.  A dense copy of A
+    # (25.6 MB) or of the 8000-row S A (10.2 MB) would break the bound, a
+    # dense 6n = 960-row S A (1.2 MB) would not.  Drawing S costs about
+    # 200 bytes per column of S: 4.1 MB here.
+    m, n = 20000, 160
+    A = sp.random(m, n, density=0.002, format="csc",
+                  random_state=np.random.RandomState(int(rng.integers(1e6))))
+    A = sp.csc_matrix((A + sp.eye(m, n)) @ sp.diags(np.logspace(0, -3, n)))
+    if form == "dense":
+        A = A.toarray()
+    S = None if rows is None else SketchOperator(
+        kind="sparse_sign", rows=rows, cols=m, seed=6)
+    tracemalloc.start()
+    try:
+        kwf = kw_factorization(A, sketch=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4
+    dense = A if S is None else apply_sketch(S, A)
+    if sp.issparse(dense):
+        dense = dense.toarray()
+    _, s_ref, Vt_ref = np.linalg.svd(dense, full_matrices=False)
+    _assert_factorization_close(kwf, s_ref, Vt_ref.T)
 
 
 def test_streamed_factorization_leaves_no_thread(rng, monkeypatch):
@@ -317,10 +384,9 @@ def test_streamed_factorization_leaves_no_thread(rng, monkeypatch):
     assert threading.active_count() == before
 
     # A fold that fails part way through the stream.
-    def failing_tpqrt(*args, **kwargs):
+    def failing_fold(*args, **kwargs):
         raise RuntimeError("fold failed")
-    monkeypatch.setattr(lsbe.core.scipy.linalg.lapack, "dtpqrt",
-                        failing_tpqrt)
+    monkeypatch.setattr(lsbe.core, "_fold", failing_fold)
     with pytest.raises(RuntimeError, match="fold failed"):
         kw_factorization(A, sketch=S)
     assert threading.active_count() == before

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -796,10 +797,7 @@ def test_factorizations_match_sequential_calls(rng, kind, rows):
     # The pool's results are bit for bit the calls' own, and the pool is
     # gone once the block is left.  A Gaussian sketch of 900 rows streams
     # in four blocks, drawn on a helper thread of its own.
-    A = sp.random(2000, 150, density=0.05, format="csc",
-                  random_state=np.random.RandomState(int(rng.integers(1e6))))
-    A = sp.csc_matrix((A + sp.eye(2000, 150))
-                      @ sp.diags(np.logspace(0, -3, 150)))
+    A, _ = _pool_pair(rng)
     S = SketchOperator(kind=kind, rows=rows, cols=2000, seed=4)
     with lsbe.solver._factorizations(A, S, exact=True) as futures:
         got = [f.result() for f in futures]
@@ -813,6 +811,61 @@ def test_factorizations_match_sequential_calls(rng, kind, rows):
         assert exact is None
         assert np.array_equal(kwf.result().right_vectors,
                               got[0].right_vectors)
+
+
+def _pool_pair(rng):
+    A = sp.random(2000, 150, density=0.05, format="csc",
+                  random_state=np.random.RandomState(int(rng.integers(1e6))))
+    A = sp.csc_matrix((A + sp.eye(2000, 150))
+                      @ sp.diags(np.logspace(0, -3, 150)))
+    return A, SketchOperator(kind="sparse_sign", rows=900, cols=2000, seed=4)
+
+
+@pytest.mark.threaded_blas
+def test_factorization_svds_take_turns(rng, monkeypatch):
+    # Each SVD is held for 0.2 s, far longer than either QR, so two SVDs
+    # left to themselves would overlap; the pool's lock keeps one at a
+    # time.  Outside a pool an SVD takes no turn.
+    A, S = _pool_pair(rng)
+    svd, guard, running, seen = lsbe.core._svd, threading.Lock(), [0], []
+
+    def counted(R):
+        with guard:
+            running[0] += 1
+            seen.append(running[0])
+        time.sleep(0.2)
+        try:
+            return svd(R)
+        finally:
+            with guard:
+                running[0] -= 1
+    monkeypatch.setattr(lsbe.core, "_svd", counted)
+    with lsbe.solver._factorizations(A, S, exact=True) as futures:
+        for future in futures:
+            future.result()
+    assert seen == [1, 1]
+    assert not hasattr(lsbe.core._svd_turns, "lock")
+
+
+@pytest.mark.threaded_blas
+@pytest.mark.parametrize("failing", [1, 2])
+def test_svd_error_on_either_turn_reaches_lsmr(rng, monkeypatch, failing):
+    # The SVD that fails gives its turn back, so the other one still runs,
+    # and its error stops the recurrence as any factorization's does.
+    A, b, S, config = _long_graded_run(rng, true_mu=True)
+    svd, calls = lsbe.core._svd, []
+
+    def fails_once(R):
+        calls.append(R.shape)
+        if len(calls) == failing:
+            raise np.linalg.LinAlgError(f"SVD {failing} did not converge")
+        return svd(R)
+    monkeypatch.setattr(lsbe.core, "_svd", fails_once)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"SVD {failing} did not converge"):
+        lsbe.solver._traced_run(A, config, S, b)
+    _lsbe_threads_end()
+    assert len(calls) == 2
 
 
 def _lsbe_threads_end():
