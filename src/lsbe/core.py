@@ -299,7 +299,11 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     (M = QR, so M'M = R'R and the kept data are unchanged); the SVD then
     never forms the k x n left factors.  When k < n the matrix is padded
     with zero rows so the right singular vectors always span all of R^n
-    (the Gram matrix M'M is unchanged by the padding).
+    (the Gram matrix M'M is unchanged by the padding).  R belongs to the
+    factorization, and the SVD (LAPACK dgesdd, JOBZ='O') consumes it: U
+    is formed only in R's place, so beside R only V' and the workspace
+    are new.  s and V' are bit for bit np.linalg.svd(R)'s with one BLAS
+    thread.
 
     The QR is a streamed TSQR over chunks of at most 1024 rows, each made
     dense in Fortran order: chunks are stacked until there are more than
@@ -341,18 +345,6 @@ def take_svd_turns(lock) -> None:
     _svd_turns.lock = lock
 
 
-def _svd(R):
-    """The singular values and V' of R."""
-    # NumPy's SVD gufunc releases the interpreter lock; SciPy's f2py gesdd
-    # holds it.  scipy.linalg.svd(R, overwrite_a=True, check_finite=False)
-    # cut solve-trace peak RSS from 141.7/141.6 to 133.4/133.3 MB (2 runs
-    # each) but raised solve-converge wall from 2.33-2.94 to 3.07-3.55 s
-    # (3 alternating runs of --seconds 8), one BLAS thread on a shared
-    # 2-core Xeon host.  So the SVD stays on NumPy.
-    _, s, Vt = np.linalg.svd(R, full_matrices=False)
-    return s, Vt
-
-
 # Block size of the compact WY representation inside dtpqrt and
 # compress_pair's dgeqrt: the fastest of 16-256 for folding 256 x 1019
 # blocks with one BLAS thread, and within 8% of the fastest of 32, 64 and
@@ -380,6 +372,73 @@ _INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
 # dtpqrt(m, n, l, nb, a, lda, b, ldb, t, ldt, work, info)
 _dtpqrt = _lapack_function("dtpqrt", _INT, _INT, _INT, _INT, _ARRAY, _INT,
                            _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT)
+# dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info)
+_dgesdd = _lapack_function("dgesdd", ctypes.c_char_p, _INT, _INT, _ARRAY,
+                           _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY,
+                           _INT, _ARRAY, _INT)
+# _svd's dgesdd arguments that never change.  LAPACK only reads them, so
+# every thread passes the same objects.
+_JOBZ_O = ctypes.c_char_p(b"O")
+_ONE = ctypes.byref(ctypes.c_int(1))
+_QUERY = ctypes.byref(ctypes.c_int(-1))
+# Per order n: (n, lwork) as dgesdd arguments, and lwork as an int.
+_gesdd_sizes = {}
+
+
+def _gesdd_arguments(n: int):
+    """n, lwork (both as dgesdd arguments) and lwork for _svd on an n x n
+    R.  lwork is the workspace query's answer, asked once per n: the
+    query is deterministic, and its size is the one to pass, since it sets
+    the blocking of the bidiagonal reduction and so the bits."""
+    if n not in _gesdd_sizes:
+        order = ctypes.byref(ctypes.c_int(n))
+        size, info = np.empty(1), ctypes.c_int()
+        # A query reads none of the arrays.
+        _dgesdd(_JOBZ_O, order, order, None, order, None, None, _ONE, None,
+                order, size.ctypes.data, _QUERY, None, ctypes.byref(info))
+        if info.value != 0:
+            raise np.linalg.LinAlgError(
+                f"dgesdd workspace query failed (info {info.value})")
+        lwork = int(size[0])
+        _gesdd_sizes[n] = order, ctypes.byref(ctypes.c_int(lwork)), lwork
+    return _gesdd_sizes[n]
+
+
+def _svd(R):
+    """The singular values and V' of R, an n x n Fortran-contiguous
+    float64 array, which it consumes: LAPACK's divide-and-conquer dgesdd
+    with JOBZ='O' overwrites R with U and forms no other left vectors.
+    Bit for bit np.linalg.svd(R, full_matrices=False)'s s and V' with one
+    BLAS thread, V' C-ordered as NumPy returns it: KWFactorization keeps
+    V'.T, whose order sets the summation order of every later product with
+    it.  A NaN in R raises LinAlgError (info -4), as NumPy does; info > 0
+    means no convergence."""
+    # NumPy's SVD copies R and forms U twice beside its workspace: about
+    # 7n^2 floats, 58 MB at n = 1019.  Here only V' (n^2), the workspace
+    # (4n^2 + O(n)) and IWORK (8n ints) are new, about 5n^2 floats.  A
+    # ctypes call holds no interpreter lock, nor does NumPy's SVD gufunc;
+    # SciPy's f2py gesdd holds it for the whole call, and
+    # scipy.linalg.svd(R, overwrite_a=True, check_finite=False) raised
+    # solve-converge wall from 2.33-2.94 to 3.07-3.55 s (one BLAS thread,
+    # 2-core host).
+    n = len(R)
+    if not (R.shape == (n, n) and R.dtype == np.float64
+            and R.flags.f_contiguous):
+        raise ValueError("_svd needs a Fortran-contiguous float64 n x n R")
+    order, lwork_arg, lwork = _gesdd_arguments(n)
+    s = np.empty(n)
+    vt = np.empty((n, n), order="F")
+    work = np.empty(lwork + 4 * n)  # IWORK's 8n ints follow the workspace
+    address = work.ctypes.data
+    info = ctypes.c_int()
+    # U is R itself (JOBZ='O', m >= n), so the u argument is never read.
+    _dgesdd(_JOBZ_O, order, order, R.ctypes.data, order, s.ctypes.data,
+            None, _ONE, vt.ctypes.data, order, address, lwork_arg,
+            address + 8 * lwork, ctypes.byref(info))
+    del work
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed (info {info.value})")
+    return s, np.ascontiguousarray(vt)
 
 
 def _fold(R, B) -> None:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -410,22 +411,36 @@ def test_single_block_sketch_starts_no_thread(rng, monkeypatch):
         kw_factorization(A, sketch=S)
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "csc"])
-@pytest.mark.parametrize("kind", [None, "identity", "sparse_sign"])
-def test_kw_factorization_never_writes_its_input(rng, layout, kind):
-    A = _sketch_pair(rng, 400, 20, sparse=True)
+def _check_input_untouched(rng, m, layout, kind):
+    A = _sketch_pair(rng, m, 20, sparse=True)
     if layout != "csc":
         A = np.array(A.toarray(), order=layout)
         assert A.flags.owndata
     before = A.copy()
     S = None if kind is None else SketchOperator(
-        kind=kind, rows=400 if kind == "identity" else 120, cols=400, seed=3)
+        kind=kind, rows=m if kind == "identity" else 120, cols=m, seed=3)
     kw_factorization(A, sketch=S)
     if layout == "csc":
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(A, part), getattr(before, part))
     else:
         assert np.array_equal(A, before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csc"])
+@pytest.mark.parametrize("kind", [None, "identity", "sparse_sign"])
+def test_kw_factorization_never_writes_its_input(rng, layout, kind):
+    _check_input_untouched(rng, 400, layout, kind)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csc"])
+@pytest.mark.parametrize("kind", [None, "identity", "sparse_sign"])
+@pytest.mark.parametrize("m", [20, 18])
+def test_svd_never_writes_a_square_or_short_input(rng, layout, kind, m):
+    # The SVD overwrites the triangle it is given.  Of a square input
+    # (m = n = 20) that triangle is a copy of the input, of a short one
+    # (m = n - 2) the input padded with zero rows.
+    _check_input_untouched(rng, m, layout, kind)
 
 
 def _numpy_qr_path(blocks):
@@ -467,15 +482,103 @@ def check_in_place_qr_bit_identical():
         assert np.array_equal(kwf.right_vectors, V)
 
 
+def check_svd_bit_identical():
+    rng = np.random.default_rng(0xDECAF)
+    triangles = [np.triu(rng.standard_normal((n, n)))
+                 for n in (1, 2, 3, 5, 8, 40, 120, 400)]
+    # The zero-padded factors of k < n rows, and one of the stand-in's
+    # order, 1019, with singular values over three decades.
+    triangles += [lsbe.core._triangular_factor([M], owned=False) for M in (
+        _sketch_pair(rng, 3, 5, sparse=False),
+        _sketch_pair(rng, 38, 40, sparse=False),
+        _sketch_pair(rng, 1100, 1019, sparse=True))]
+    for R in triangles:
+        _, s_ref, Vt_ref = np.linalg.svd(R, full_matrices=False)
+        s, Vt = lsbe.core._svd(np.asfortranarray(R))  # consumes R
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(Vt, Vt_ref)
+        assert Vt.flags.c_contiguous
+
+
+def _run_with_one_blas_thread(check: str) -> None:
+    """Run test_core.check() in a child process pinned to one BLAS
+    thread."""
+    src = os.path.dirname(os.path.dirname(lsbe.core.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    subprocess.run([sys.executable, "-c",
+                    f"import test_core; test_core.{check}()"],
+                   env=env, check=True)
+
+
 def test_in_place_qr_bit_identical_to_numpy_qr():
     # NumPy and SciPy link separate OpenBLAS builds.  With one BLAS thread
     # their QRs agree bit for bit (so traces do not move); with more they
     # split the work differently and may differ in the last bit, so the
     # check runs in a child process pinned to one thread.
-    src = os.path.dirname(os.path.dirname(lsbe.core.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
-    subprocess.run([sys.executable, "-c", "import test_core; "
-                    "test_core.check_in_place_qr_bit_identical()"],
-                   env=env, check=True)
+    _run_with_one_blas_thread("check_in_place_qr_bit_identical")
+
+
+def test_svd_bit_identical_to_numpy_svd():
+    # Pinned to one BLAS thread for the same reason as the QR check.
+    _run_with_one_blas_thread("check_svd_bit_identical")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_of_non_finite_input_behaves_as_numpy(rng, bad):
+    # NumPy's SVD raises on a NaN and returns NaNs for an infinity.  So
+    # does _svd: dgesdd flags a NaN as a bad argument (info -4).
+    R = np.triu(rng.standard_normal((6, 6)))
+    R[2, 4] = bad
+    if np.isnan(bad):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(R, full_matrices=False)
+        with pytest.raises(np.linalg.LinAlgError, match=r"info -4"):
+            lsbe.core._svd(np.asfortranarray(R))
+        with pytest.raises(np.linalg.LinAlgError, match=r"info -4"):
+            kw_factorization(R)
+    else:
+        assert np.isnan(np.linalg.svd(R, full_matrices=False)[1]).any()
+        assert np.isnan(lsbe.core._svd(np.asfortranarray(R))[0]).any()
+
+
+def test_svd_rejects_other_layouts(rng):
+    R = np.triu(rng.standard_normal((5, 5)))
+    for bad in (np.ascontiguousarray(R), R.astype(np.float32, order="F"),
+                np.asfortranarray(R[:4])):
+        with pytest.raises(ValueError, match="Fortran-contiguous float64"):
+            lsbe.core._svd(bad)
+
+
+def test_kw_factorization_runs_no_numpy_svd(rng, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("kw_factorization ran NumPy's SVD")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for M in (rng.standard_normal((50, 8)), rng.standard_normal((3, 8))):
+        kwf = kw_factorization(M)
+        assert kwf.right_vectors.shape == (8, 8)
+
+
+def test_svd_releases_the_interpreter_lock(rng):
+    # A second Python thread keeps running while the SVD does: with the
+    # lock held it would stand still for most of the call (SciPy's f2py
+    # gesdd stalls it 57 of 68 ms here, this call under 5 ms).
+    R = np.asfortranarray(np.triu(rng.standard_normal((500, 500))))
+    stop, ticks = threading.Event(), []
+
+    def tick():
+        while not stop.is_set():
+            ticks.append(time.perf_counter())
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    try:
+        time.sleep(0.01)
+        start = time.perf_counter()
+        lsbe.core._svd(R)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        ticker.join()
+    during = [start] + [t for t in ticks if start < t < end] + [end]
+    assert np.max(np.diff(during)) < (end - start) / 2, (end - start)
