@@ -376,6 +376,27 @@ def test_kw_factorization_makes_no_dense_copy(rng, form, rows):
     _assert_factorization_close(kwf, s_ref, Vt_ref.T)
 
 
+def test_gaussian_sketch_factorization_memory_independent_of_m():
+    # The Gaussian stream draws and applies S in pieces of 1024 of its
+    # columns, so the traced peak does not grow with the rows of A.
+    # Drawing whole 256-row blocks, two m x 256 buffers, it was 82.4 MB
+    # at m = 20000 and 328.2 MB at m = 80000.
+    n = 64
+    peaks = []
+    for m in (20000, 80000):
+        A = sp.random(m, n, density=0.002, format="csc",
+                      random_state=np.random.RandomState(1))
+        A = sp.csc_matrix(A + sp.eye(m, n))
+        S = SketchOperator(kind="gaussian", rows=6 * n, cols=m, seed=1)
+        tracemalloc.start()
+        try:
+            kw_factorization(A, sketch=S)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2e6, peaks
+
+
 def test_streamed_factorization_leaves_no_thread(rng, monkeypatch):
     A = _sketch_pair(rng, 600, 10, sparse=True)
     S = SketchOperator(kind="gaussian", rows=900, cols=600, seed=2)

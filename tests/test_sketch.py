@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import lsbe.sketch
 from lsbe.errors import RankDeficient, ShapeMismatch
-from lsbe.sketch import (SketchOperator, _sparse_sign_matrix, apply_sketch,
+from lsbe.sketch import (SketchOperator, _add_sparse_product,
+                         _sparse_sign_matrix, apply_sketch,
                          measure_distortion, sketch_rows)
 
 pytestmark = pytest.mark.threaded_blas
@@ -74,7 +76,7 @@ def _gaussian_materialized(rows, cols, seed):
     SFC64 generator."""
     rng = np.random.Generator(np.random.SFC64(seed))
     return np.vstack([rng.standard_normal((cols, min(256, rows - start))).T
-                      for start in range(0, rows, 256)]) / np.sqrt(rows)
+                      for start in range(0, rows, 256)]) * (1 / np.sqrt(rows))
 
 
 def test_gaussian_streaming_matches_materialized():
@@ -130,26 +132,199 @@ def test_gaussian_stream_equals_block_loop(form, rows):
 def test_gaussian_streams_under_thread_switching():
     # Three streams at once, each with its own helper thread, switching
     # threads as often as the interpreter allows: each still equals the
-    # single-thread loop.
-    m = 60
-    V = np.random.default_rng(5).standard_normal((m, 3))
-    S = SketchOperator(kind="gaussian", rows=1100, cols=m, seed=9)
-    expected = _gaussian_block_loop(S, V)
-    results = []
-    workers = [threading.Thread(target=lambda: results.append(
-        apply_sketch(S, V))) for _ in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert len(results) == 3
-    assert all(np.array_equal(out, expected) for out in results)
+    # single-thread loop.  With m = 2600 each block is three pieces, and
+    # the 15 pieces of the five blocks cycle through the ring of buffers.
+    for m in (60, 2600):
+        V = np.random.default_rng(5).standard_normal((m, 3))
+        S = SketchOperator(kind="gaussian", rows=1100, cols=m, seed=9)
+        expected = _gaussian_piece_loop(S, V)
+        results = []
+        workers = [threading.Thread(target=lambda: results.append(
+            apply_sketch(S, V))) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(results) == 3
+        assert all(np.array_equal(out, expected) for out in results)
+
+
+def _gaussian_piece_loop(S, V):
+    """The Gaussian apply on one thread, piece by piece: the transposed
+    draw of each block taken 1024 of its rows at a time from the SFC64
+    generator and scaled, and the products of the pieces with their rows
+    of V summed into the block in piece order.  SciPy's kernel adds a
+    sparse V's entries into a row of the block one by one, in the order of
+    V's rows, so that product is one whole-block product with V's indices
+    sorted."""
+    squeeze = False
+    if not sp.issparse(V):
+        V = np.asarray(V, dtype=float)
+        if V.ndim == 1:
+            V, squeeze = V[:, None], True
+    rng = np.random.Generator(np.random.SFC64(S.seed))
+    scale = 1.0 / np.sqrt(S.rows)
+    if sp.issparse(V):
+        V = sp.csc_matrix(V).sorted_indices()
+    out = np.empty((S.rows, V.shape[1]))
+    for start in range(0, S.rows, 256):
+        stop = min(start + 256, S.rows)
+        pieces = [rng.standard_normal((min(1024, S.cols - lo), stop - start))
+                  * scale for lo in range(0, S.cols, 1024)]
+        if sp.issparse(V):
+            out[start:stop] = (V.T @ np.vstack(pieces)).T
+        else:
+            block = pieces[0].T @ V[:1024]
+            for i, piece in enumerate(pieces[1:], 1):
+                block += piece.T @ V[1024 * i:1024 * (i + 1)]
+            out[start:stop] = block
+    return out[:, 0] if squeeze else out
+
+
+def _piece_inputs(m):
+    """A CSC, a dense and a 1-D input with m rows.  The CSC input's row
+    indices are shuffled within each column, as the stand-in's are before
+    it is written to a file."""
+    V = sp.random(m, 5, density=0.05, format="csc", random_state=m)
+    V = sp.csc_matrix(V + sp.eye(m, 5))
+    shuffle = np.random.default_rng(m)
+    for lo, hi in zip(V.indptr[:-1], V.indptr[1:]):
+        order = lo + shuffle.permutation(hi - lo)
+        V.indices[lo:hi], V.data[lo:hi] = V.indices[order], V.data[order]
+    V.has_sorted_indices = False
+    return {"csc": V, "dense": V.toarray(),
+            "1-D": np.random.default_rng(m).standard_normal(m)}
+
+
+@pytest.mark.parametrize("form", ["csc", "dense", "1-D"])
+@pytest.mark.parametrize("rows", [200, 700])
+def test_gaussian_pieces_equal_piece_loop(form, rows):
+    # m = 2600 spans three pieces, the last one short.  One block (200
+    # rows) runs on the calling thread, three blocks on the helper's ring.
+    V = _piece_inputs(2600)[form]
+    S = SketchOperator(kind="gaussian", rows=rows, cols=2600, seed=4)
+    blocks = list(S.row_blocks(V))
+    assert [len(b) for b in blocks] == [min(256, rows - start)
+                                        for start in range(0, rows, 256)]
+    assert np.array_equal(np.concatenate(blocks), _gaussian_piece_loop(S, V))
+
+
+@pytest.mark.parametrize("form", ["sorted csc", "csr"])
+def test_gaussian_pieces_of_sorted_sparse_input_equal_whole_blocks(form):
+    # A CSR V, and a CSC V whose row indices are sorted (as load_matrix
+    # returns it), give the whole-block product bit for bit: the kernel
+    # adds their entries into each row of the block in the same order.
+    V = _piece_inputs(2600)["csc"]
+    V = V.sorted_indices() if form == "sorted csc" else V.tocsr()
+    S = SketchOperator(kind="gaussian", rows=700, cols=2600, seed=4)
+    assert np.array_equal(apply_sketch(S, V), _gaussian_block_loop(S, V))
+
+
+def test_gaussian_pieces_leave_S_unchanged():
+    # S e_j is column j of S, exactly: the pieces are drawn from the
+    # generator in the order of one whole draw, so S does not depend on
+    # the piece size.  j runs over the edges of all three pieces.
+    m, rows, seed = 2600, 600, 8
+    cols = [0, 1, 1023, 1024, 1500, 2047, 2048, 2599]
+    E = np.zeros((m, len(cols)))
+    E[cols, np.arange(len(cols))] = 1.0
+    S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=seed)
+    S_full = _gaussian_materialized(rows, m, seed)
+    assert np.array_equal(apply_sketch(S, E), S_full[:, cols])
+    assert np.array_equal(apply_sketch(S, sp.csc_matrix(E)), S_full[:, cols])
+
+
+@pytest.mark.parametrize("form", ["csc", "dense", "1-D"])
+def test_gaussian_pieces_match_materialized(form):
+    # Only the rounding of S V moves: its sums are split at the pieces.
+    V = _piece_inputs(2600)[form]
+    S = SketchOperator(kind="gaussian", rows=600, cols=2600, seed=2)
+    want = _gaussian_materialized(600, 2600, 2) @ (
+        V.toarray() if sp.issparse(V) else V)
+    got = apply_sketch(S, V)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("form", ["sorted csc", "csr", "coo"])
+def test_gaussian_pieces_of_sparse_input_ignore_its_storage(form):
+    # A sparse V of more than 1024 rows is read as CSR, so its format and
+    # the order of its stored entries leave S V bit for bit as it is.
+    V = _piece_inputs(2600)["csc"]
+    W = V.sorted_indices() if form == "sorted csc" else V.asformat(form)
+    S = SketchOperator(kind="gaussian", rows=300, cols=2600, seed=6)
+    assert np.array_equal(apply_sketch(S, W), apply_sketch(S, V))
+
+
+def test_single_block_of_many_pieces_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single-block sketch started a thread")
+    V = _piece_inputs(2600)["csc"]
+    S = SketchOperator(kind="gaussian", rows=256, cols=2600, seed=1)
+    want = _gaussian_piece_loop(S, V)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert np.array_equal(apply_sketch(S, V), want)
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("lsbe-sketch-draw")]
+
+
+def test_closing_mid_stream_leaves_no_draw_thread(monkeypatch):
+    # Four blocks of three pieces through a ring of four, one block ahead:
+    # after the first block the ring holds draws of the next two blocks.
+    V = _piece_inputs(2600)["csc"]
+    S = SketchOperator(kind="gaussian", rows=900, cols=2600, seed=3)
+    assert not _draw_threads()
+    blocks = S.row_blocks(V)
+    assert next(blocks).shape == (256, 5)
+    assert len(_draw_threads()) == 1
+    blocks.close()
+    assert not _draw_threads()
+
+    # A product that fails inside a block, with draws pending.
+    calls = []
+
+    def failing_add(*args):
+        calls.append(args)
+        if len(calls) == 3:  # the second piece of the second block
+            raise RuntimeError("product failed")
+    monkeypatch.setattr(lsbe.sketch, "_add_sparse_product", failing_add)
+    with pytest.raises(RuntimeError, match="product failed"):
+        apply_sketch(S, V)
+    assert not _draw_threads()
+
+
+def test_add_sparse_product_is_scipys_kernel_in_place(rng):
+    # _add_sparse_product calls SciPy's private csc_matvecs on a CSR P's
+    # arrays, the kernel behind P.T @ X: into zeros it gives P.T @ X bit
+    # for bit, and into out it adds in place.
+    P = sp.random(70, 40, density=0.1, format="csr", random_state=1)
+    X = rng.standard_normal((70, 6))
+    out = np.zeros((40, 6))
+    _add_sparse_product(out, P, X)
+    assert np.array_equal(out, P.T @ X)
+    before = rng.standard_normal((40, 6))
+    out = before.copy()
+    _add_sparse_product(out, P, X)
+    assert np.allclose(out, before + P.T @ X, rtol=1e-15, atol=1e-15)
+    for bad_P, bad_out, bad_X, message in (
+            (P.tocsc(), np.zeros((40, 6)), X, "CSR P"),
+            (P, np.zeros((40, 6)), X[:69], "CSR P"),
+            (P, np.zeros((41, 6)), X, "CSR P"),
+            (P, np.zeros((6, 40)).T, X, "C-contiguous"),
+            (P, np.zeros((40, 6), np.float32), X, "C-contiguous"),
+            (P, np.zeros((40, 6)), np.asfortranarray(X), "C-contiguous")):
+        with pytest.raises(ValueError, match=message):
+            _add_sparse_product(bad_out, bad_P, bad_X)
+
 
 
 @pytest.mark.parametrize("kind", ["sparse_sign", "identity", "synthetic_eta"])
