@@ -294,25 +294,25 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     """Build the factorization of any k x n matrix, dense or sparse, or of
     S M for a sketch S given as sketch=S without ever forming S M.
 
-    Only the singular values and right singular vectors are kept.  When
-    k > n the matrix is first compressed to its n x n triangular factor R
-    (M = QR, so M'M = R'R and the kept data are unchanged); the SVD then
-    never forms the k x n left factors.  When k < n the matrix is padded
-    with zero rows so the right singular vectors always span all of R^n
-    (the Gram matrix M'M is unchanged by the padding).  R belongs to the
-    factorization, and the SVD (LAPACK dgesdd, JOBZ='O') consumes it: U
-    is formed only in R's place, so beside R only V' and the workspace
-    are new.  s and V' are bit for bit np.linalg.svd(R)'s with one BLAS
-    thread.
+    Only the singular values and right singular vectors are kept.  M is
+    first compressed to an n x n upper triangle R with R'R = M'M, so the
+    kept data are unchanged and the SVD never forms k x n left factors.
+    R belongs to the factorization, and the SVD (LAPACK dgesdd,
+    JOBZ='O') consumes it: U is formed only in R's place, so beside R
+    only V' and the workspace are new.  s and V' are bit for bit
+    np.linalg.svd(R)'s with one BLAS thread.  When k < n, M'M has rank
+    at most k, so s[k:] is set to exactly 0; R's rows past k are not
+    zero in general (folding the row [0, 1] into a zero 2 x 2 triangle
+    gives R = [[0, 0], [0, -1]]), and the right singular vectors span
+    all of R^n either way.
 
-    The QR is a streamed TSQR over chunks of at most 1024 rows, each made
-    dense in Fortran order: chunks are stacked until there are more than
-    n rows, factored in place by LAPACK geqrf, and every later chunk is
-    folded into R by LAPACK dtpqrt in one reused buffer.  So no more than
-    about two chunks of M (or, for n > 1024, the stacked rows) are ever
-    dense at once, and M itself is never written.  A k x n input with
-    k <= 1024 is one chunk, a dense copy factored by geqrf alone: bit for
-    bit np.linalg.qr's triangle with one BLAS thread.
+    The QR is a streamed TSQR (Demmel, Grigori, Hoemmen & Langou 2012):
+    R starts as an n x n zero triangle, and every chunk of at most 1024
+    rows of M is made dense in Fortran order in one reused buffer (a
+    sketch block that already is so is used as it is) and folded into R
+    by LAPACK dtpqrt.  So no more than one chunk of M is ever dense, and
+    M itself is never written.  R is not np.linalg.qr's triangle bit for
+    bit: its rounding is the fold's.
 
     With a sketch, S M is read from sketch.row_blocks(M), block by block
     through the same chunks, so only one block of S M is held at a time:
@@ -330,13 +330,16 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     factorization's SVD to finish, so the two never run at once.
     """
     if sketch is None:
-        R = _triangular_factor(
-            [M if is_sparse(M) else np.asarray(M, dtype=float)], owned=False)
+        M = M if is_sparse(M) else np.asarray(M, dtype=float)
+        k = M.shape[0]
+        R = _triangular_factor([M], owned=False)
     else:
+        k = sketch.rows
         with contextlib.closing(sketch.row_blocks(M)) as blocks:
             R = _triangular_factor(blocks, owned=True)
     with getattr(_svd_turns, "lock", contextlib.nullcontext()):
         s, Vt = _svd(R)
+    s[k:] = 0.0  # M'M has rank at most k
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
 
 
@@ -473,82 +476,33 @@ def _fold(R, B) -> None:
 
 
 def _triangular_factor(blocks, owned: bool) -> np.ndarray:
-    """An n x n (or, while the rows number at most n, zero-padded) matrix T
-    with T'T = M'M, for M given as a sequence of dense or sparse row
-    blocks.  The dense blocks belong to the factorization, which may
-    overwrite them, when owned is true; otherwise they are only read."""
-    # The first QR stays on geqrf, not compress_pair's dgeqrt: dgeqrt is
-    # faster on its own (kw_factorization of the 8899 x 1019 stand-in in
-    # 1.23 against 1.36 s), but on A's side of the lsbe-factor pool, beside
-    # a sparse-sign 6n sketch, it slowed the pair from 1.56 to 2.04 s
-    # (medians of 6, one BLAS thread, 2-core host).  SciPy's f2py dgeqrt
-    # holds the interpreter lock for the whole call, geqrf does not: a
-    # second Python thread stalled 60-90 ms in an 80-95 ms dgeqrt of
-    # 2000 x 1019, against under 8 ms in a 210-250 ms geqrf of the same.
-    stacked, rows, R, buffer = [], 0, None, np.empty(0)
+    """An n x n upper triangle R with R'R = M'M, for M given as a sequence
+    of dense or sparse row blocks: R starts as zeros and every chunk of at
+    most _CHUNK rows, made dense and Fortran-ordered in one reused buffer,
+    is folded in by _fold.  The dense blocks belong to the factorization,
+    which may overwrite them, when owned is true; otherwise they are only
+    read.  An owned dense block of at most _CHUNK rows that is already so
+    ordered is folded as it is."""
+    R, buffer = None, np.empty(0)
     for block in blocks:
         k, n = block.shape
+        if R is None:
+            R = np.zeros((n, n), order="F")
+        if (owned and k <= _CHUNK and not is_sparse(block)
+                and block.flags.f_contiguous):
+            _fold(R, block)
+            continue
         if is_sparse(block) and k > _CHUNK:
             block = block.tocsr()  # row slices without a search
         for start in range(0, k, _CHUNK):
-            stop = min(k, start + _CHUNK)
-            # One buffer takes the first chunk and every chunk folded;
-            # the other chunks stacked for the first QR get their own.
-            out = None
-            if not stacked:
-                if len(buffer) < (stop - start) * n:
-                    buffer = np.empty((stop - start) * n)
-                out = buffer
-            chunk = _chunk(block, start, stop, owned, out)
-            if R is not None:
-                _fold(R, chunk)
-                continue
-            stacked.append(chunk)
-            rows += stop - start
-            if rows > n:
-                # geqrf in place; R is the upper triangle of its first n
-                # rows, copied to Fortran order for the folds.  triangle
-                # is kept to the end: freeing it at once raised the peak
-                # RSS of one solve-converge solve from 157-164 to 161-169
-                # MB (6 runs each), the SVD's outputs taking new pages
-                # where they could have reused its memory.
-                _, triangle = scipy.linalg.qr(_stack(stacked), mode="raw",
-                                              overwrite_a=True,
-                                              check_finite=False)
-                R = np.asfortranarray(triangle)
-                stacked = None
-    if R is not None:
-        return R
-    if rows < n:
-        stacked.append(np.zeros((n - rows, n)))
-    return _stack(stacked)
-
-
-def _chunk(block, start: int, stop: int, owned: bool, buffer=None):
-    """Rows start:stop of a block, dense and Fortran-contiguous: written
-    into the head of buffer when one is given, a new array otherwise.  A
-    whole owned dense block that is already so ordered is used as it
-    is."""
-    whole = (start, stop) == (0, block.shape[0])
-    part = block if whole else block[start:stop]
-    if whole and owned and not is_sparse(block) and block.flags.f_contiguous:
-        return block
-    if buffer is None:
-        out = np.empty(part.shape, order="F")
-    else:
-        out = buffer[:math.prod(part.shape)].reshape(part.shape, order="F")
-    if is_sparse(part):
-        part.astype(float, copy=False).toarray(out=out)
-    else:
-        out[...] = part
-    return out
-
-
-def _stack(blocks) -> np.ndarray:
-    """The blocks one above the other in one Fortran-ordered array (a lone
-    Fortran-ordered block is returned as it is)."""
-    if len(blocks) == 1:
-        return np.asfortranarray(blocks[0])
-    out = np.empty((sum(len(b) for b in blocks), blocks[0].shape[1]),
-                   order="F")
-    return np.concatenate(blocks, out=out)
+            part = block if k <= _CHUNK else block[start:start + _CHUNK]
+            size = part.shape[0] * n
+            if len(buffer) < size:
+                buffer = np.empty(size)
+            chunk = buffer[:size].reshape(part.shape, order="F")
+            if is_sparse(part):
+                part.astype(float, copy=False).toarray(out=chunk)
+            else:
+                chunk[...] = part
+            _fold(R, chunk)
+    return R

@@ -122,7 +122,7 @@ def mu_fixed_point(A, r_theta, tol: float = 1e-12, kwf=None,
     s = kwf.singular_values
     At_r = (A if is_sparse(A) else np.asarray(A, dtype=float)).T @ r
     coef = kwf.right_vectors.T @ At_r
-    # s_j = 0 also marks the zero rows kw_factorization pads in for wide A.
+    # s_j = 0 also marks the s[k:] kw_factorization zeroes for a wide A.
     keep = (coef != 0.0) & (s != 0.0)
     coef2 = coef[keep] ** 2
     if coef2.size == 0:

@@ -10,30 +10,27 @@ array from one SFC64 generator, the layout in which a sparse V.T and a
 dense V read it without a copy; S therefore depends on the block size.
 That array is drawn in pieces of 1024 of its rows, which the generator
 fills in the order of one whole draw, so S does not depend on the piece
-size.  Each piece is scaled and its product with the matching 1024 rows of
-V is added into the block's output.  For cols <= 1024 a block is one
-piece, and S V is what a whole-block draw gives, bit for bit.  A sparse V
-of more rows is read as CSR, and SciPy's kernel adds each piece into the
-block in place, so every row of S V sums V's entries in the order of V's
-rows: bit for bit the whole-block product of a CSR V or a CSC V with
-sorted row indices (as load_matrix returns it), whatever the storage.
-For a dense V of more than 1024 rows the sums of S V are split at the
-pieces, which moves their rounding; a CSC V with unsorted indices is
-summed in sorted order, which moves it too.  While the calling thread
-takes the products and the caller folds the blocks, one helper thread
-draws up to six pieces, and at most one block, ahead, each into a reused
-buffer that it refills as soon as its piece's product is taken.  The
-draw releases the interpreter lock, so it runs on a second core when one
-is free; on one core the pieces run in sequence.  The draws happen in
-stream order either way, so the output does not depend on the
-scheduling.  A stream holds O(6 * 1024 * 256 + k * 256) floats for V
-with k columns, whatever cols is, beside the CSR copy of a sparse V not
-given as CSR, where a whole-block draw held 2 * 256 * cols: the traced
-peak of kw_factorization(A, sketch=S) for a sparse m x 64 A and a
-384-row S is 13.2 MB at m = 20000 and 13.5 MB at m = 80000, where
-whole blocks took 82.4 and 328.2 MB.  A sparse-sign sketch is drawn whole,
-in nine generator calls whatever its size: eight vectorized steps of
-Floyd's sampling pick each column's 8 rows, one call draws every sign.
+size.  Each piece is scaled, and its product with the matching 1024 rows
+of V is added into the block's output.  For cols <= 1024 a block is one
+piece, and S V is what a whole-block draw gives, bit for bit.  For more
+rows the sums of S V are split at the pieces, which moves their rounding.
+A sparse V of more rows is read as CSR, so a piece's rows are a slice
+found without a search, and S V does not depend on V's storage or on the
+order of its stored entries.  While the calling thread takes the
+products and the caller folds the blocks, one helper thread draws up to
+six pieces, and at most one block, ahead, each into a reused buffer that
+it refills as soon as its piece's product is taken.  The draw releases
+the interpreter lock, so it runs on a second core when one is free; on
+one core the pieces run in sequence.  The draws happen in stream order
+either way, so the output does not depend on the scheduling.  A stream
+holds O(6 * 1024 * 256 + k * 256) floats for V with k columns, whatever
+cols is, beside the CSR copy of a sparse V not given as CSR, where a
+whole-block draw held 2 * 256 * cols: the traced peak of
+kw_factorization(A, sketch=S) for a sparse m x 64 A and a 384-row S is
+13.2 MB at m = 20000 and 13.5 MB at m = 80000, where whole blocks took
+82.4 and 328.2 MB.  A sparse-sign sketch is drawn whole, in nine
+generator calls whatever its size: eight vectorized steps of Floyd's
+sampling pick each column's 8 rows, one call draws every sign.
 Its product with a sparse V stays sparse until apply_sketch or
 kw_factorization makes it dense.
 """
@@ -49,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .core import TOL_RANK, is_sparse
 from .errors import RankDeficient, ShapeMismatch
@@ -134,15 +130,15 @@ class SketchOperator:
         256 rows, each drawn transposed (cols x 256, C order, SFC64); the
         block size is part of the definition of S, not a knob.  The draw
         and the product with V go in pieces of 1024 of the cols, which
-        leave S as it is (the rounding of S V moves for cols > 1024 only
-        with a dense V or a CSC V with unsorted indices), so a stream
-        holds at most six 1024 x 256 piece buffers and the block being
-        summed, not the whole cols x 256 draw.  The pieces are drawn ahead
-        on a helper thread that is joined before the generator finishes,
-        raises or is closed.  Every other input, a single-block Gaussian
-        sketch included, starts no thread; a kind other than Gaussian
-        yields the whole product as one block, sparse for a sparse-sign S
-        and a sparse V, and dense otherwise.
+        leave S as it is (for cols > 1024 the rounding of S V moves), so
+        a stream holds at most six 1024 x 256 piece buffers and the block
+        being summed, not the whole cols x 256 draw.  The pieces are drawn
+        ahead on a helper thread that is joined before the generator
+        finishes, raises or is closed.  Every other input, a single-block
+        Gaussian sketch included, starts no thread; a kind other than
+        Gaussian yields the whole product as one block: for a sparse V,
+        sparse with a sparse-sign S and V itself, not a copy, with the
+        identity; dense otherwise.
         """
         V, squeeze = _as_input(self, V)
         if self.kind == "gaussian":
@@ -224,8 +220,8 @@ def _gaussian_blocks(S: SketchOperator, V, squeeze: bool):
     sparse = is_sparse(V)
     if sparse and len(cuts) > 1:
         # Each piece a slice of rows, where a CSC V would be searched whole
-        # for every piece of every block; float64 for _add_sparse_product.
-        V = V.tocsr().astype(float, copy=False)
+        # for every piece of every block.
+        V = V.tocsr()
     helper = None
     if len(sizes) > 1:
         helper = ThreadPoolExecutor(max_workers=1,
@@ -247,12 +243,10 @@ def _gaussian_blocks(S: SketchOperator, V, squeeze: bool):
         for a sparse V and S V for a dense one; the product alone when out
         is None."""
         part = V if len(cuts) == 1 else V[lo:hi]
+        product = part.T @ piece if sparse else piece.T @ part
         if out is None:
-            return part.T @ piece if sparse else piece.T @ part
-        if sparse:
-            _add_sparse_product(out, part, piece)
-        else:
-            out += piece.T @ part
+            return product
+        out += product
         return out
 
     submit = _run_now if helper is None else helper.submit
@@ -281,37 +275,11 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
-def _add_sparse_product(out, P, X) -> None:
-    """out += P' X in place, for a CSR P with float64 data and C-contiguous
-    float64 X and out.  P.T @ X runs the same SciPy kernel, csc_matvecs on
-    P's arrays, into a new zeroed array.  Adding into out continues the
-    kernel's running sums, which add V's entries into each entry of S V
-    in the order of V's rows, so a block summed piece by piece is bit for
-    bit the whole-block product of a CSR V or a CSC V with sorted
-    indices: lsbe solve and lsbe estimate on a coordinate file write the
-    bits that whole-block draws wrote.  Adding a new product into out
-    would round each piece's partial sums first.  It also saves that
-    array, 2.1 MB of the traced peak of the stand-in's sketch QR.  The
-    kernel is private to SciPy; tests/test_sketch.py pins what is used of
-    it."""
-    rows, cols = P.shape
-    if not (P.format == "csr" and X.ndim == 2 and X.shape[0] == rows
-            and out.shape == (cols, X.shape[1])):
-        raise ValueError("_add_sparse_product needs a CSR P, X with P's "
-                         "rows and out of shape (P's columns, X's columns)")
-    if not (out.flags.c_contiguous and X.flags.c_contiguous
-            and out.dtype == X.dtype == P.dtype == np.float64):
-        raise ValueError("_add_sparse_product needs float64 P and "
-                         "C-contiguous float64 out and X")
-    # The kernel checks neither shapes nor bounds.
-    _sparsetools.csc_matvecs(cols, rows, X.shape[1], P.indptr, P.indices,
-                             P.data, X.ravel(), out.ravel())
-
-
 def _apply_whole(S: SketchOperator, V):
-    """S V in one piece for the kinds that are not streamed."""
+    """S V in one piece for the kinds that are not streamed: a sparse V
+    itself for the identity, a new array otherwise."""
     if S.kind == "identity":
-        return V.toarray() if is_sparse(V) else np.array(V, copy=True)
+        return V if is_sparse(V) else np.array(V, copy=True)
     if S.kind == "sparse_sign":
         # Sparse for a sparse V: kw_factorization makes it dense a chunk
         # of rows at a time.

@@ -731,11 +731,11 @@ def _factorizations(A, sketch, exact: bool):
     """Yield futures (kwf, exact): kw_factorization(A, sketch=sketch) and,
     when exact is true, kw_factorization(A) (else None), computed on the
     one two-worker lsbe-factor pool of lsbe estimate, lsbe solve and the
-    trace criterion.  Their streamed QRs (geqrf, then dtpqrt folds) and
-    their SVDs release the interpreter lock, so on two free cores the QRs
-    overlap.  The SVDs take turns on a lock of this call's own, so the
-    pool never holds two SVD workspaces at once.  Leaving the block waits
-    for both, even on an error or an interrupt."""
+    trace criterion.  Their streamed QRs (dtpqrt folds) and their SVDs
+    release the interpreter lock, so on two free cores the QRs overlap.
+    The SVDs take turns on a lock of this call's own, so the pool never
+    holds two SVD workspaces at once.  Leaving the block waits for both,
+    even on an error or an interrupt."""
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="lsbe-factor",
                             initializer=take_svd_turns,
                             initargs=(threading.Lock(),)) as pool:

@@ -286,9 +286,9 @@ def test_kw_factorization_single_block_sketch_bit_identical(rng, sparse,
 @pytest.mark.parametrize("m, n, rows", [
     (700, 20, 257),    # one row past a block
     (900, 30, 700),    # three blocks, the last one short
-    (1000, 300, 900),  # n > 256: two blocks stacked before the QR
-    (900, 400, 300),   # k <= n: stacked and padded, never folded
-    (900, 300, 301)])  # the QR takes all k = n + 1 rows, nothing to fold
+    (1000, 300, 900),  # n > 256: blocks shorter than n
+    (900, 400, 300),   # k < n: s[k:] is zero
+    (900, 300, 301)])  # k = n + 1
 def test_kw_factorization_streamed_matches_formed(rng, sparse, m, n, rows):
     A = _sketch_pair(rng, m, n, sparse)
     S = SketchOperator(kind="gaussian", rows=rows, cols=m, seed=11)
@@ -296,10 +296,6 @@ def test_kw_factorization_streamed_matches_formed(rng, sparse, m, n, rows):
     formed = kw_factorization(apply_sketch(S, A))
     _assert_factorization_close(streamed, formed.singular_values,
                                 formed.right_vectors)
-    if rows <= n:  # the stacked blocks are S A itself
-        assert np.array_equal(streamed.singular_values,
-                              formed.singular_values)
-        assert np.array_equal(streamed.right_vectors, formed.right_vectors)
 
 
 def _assert_factorization_close(kwf, s_ref, V_ref):
@@ -374,6 +370,49 @@ def test_kw_factorization_makes_no_dense_copy(rng, form, rows):
         dense = dense.toarray()
     _, s_ref, Vt_ref = np.linalg.svd(dense, full_matrices=False)
     _assert_factorization_close(kwf, s_ref, Vt_ref.T)
+
+
+def test_identity_sketch_factorization_makes_no_dense_copy(rng):
+    # The identity's block of a sparse A is A itself, so the factorization
+    # through the sketch is the factorization of A, bit for bit, and holds
+    # no dense copy of A (25.6 MB here).
+    m, n = 20000, 160
+    A = sp.random(m, n, density=0.002, format="csc",
+                  random_state=np.random.RandomState(int(rng.integers(1e6))))
+    A = sp.csc_matrix(A + sp.eye(m, n))
+    S = SketchOperator(kind="identity", rows=m, cols=m)
+    tracemalloc.start()
+    try:
+        kwf = kw_factorization(A, sketch=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4, peak
+    direct = kw_factorization(A)
+    assert np.array_equal(kwf.singular_values, direct.singular_values)
+    assert np.array_equal(kwf.right_vectors, direct.right_vectors)
+
+
+@pytest.mark.parametrize("form", ["dense", "csc", "gaussian"])
+def test_short_input_has_exact_zero_singular_values(rng, form):
+    # M'M of a k x n M with k < n has rank at most k, so s[k:] is exactly
+    # 0 and s[:k] is M's.  The leading column is zero, so the fold leaves
+    # R's first row zero and puts one of the k nonzero rows past row k:
+    # R's rows past k are not zero, and dropping them would lose it.
+    if form == "gaussian":
+        A = rng.standard_normal((40, 6))
+        A[:, 0] = 0.0
+        S = SketchOperator(kind="gaussian", rows=4, cols=40, seed=7)
+        M = apply_sketch(S, A)
+        kwf = kw_factorization(A, sketch=S)
+    else:
+        M = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0]])
+        kwf = kw_factorization(sp.csc_matrix(M) if form == "csc" else M)
+    k, n = M.shape
+    s = kwf.singular_values
+    assert s.shape == (n,) and np.all(s[k:] == 0.0)
+    np.testing.assert_allclose(s[:k], np.linalg.svd(M, compute_uv=False),
+                               rtol=1e-13, atol=0)
 
 
 def test_gaussian_sketch_factorization_memory_independent_of_m():
@@ -458,31 +497,29 @@ def test_kw_factorization_never_writes_its_input(rng, layout, kind):
 @pytest.mark.parametrize("kind", [None, "identity", "sparse_sign"])
 @pytest.mark.parametrize("m", [20, 18])
 def test_svd_never_writes_a_square_or_short_input(rng, layout, kind, m):
-    # The SVD overwrites the triangle it is given.  Of a square input
-    # (m = n = 20) that triangle is a copy of the input, of a short one
-    # (m = n - 2) the input padded with zero rows.
+    # The SVD overwrites the triangle it is given, which for a square
+    # input (m = n = 20) and a short one (m = n - 2) is the input folded
+    # into a zero triangle, never the input itself.
     _check_input_untouched(rng, m, layout, kind)
 
 
-def _numpy_qr_path(blocks):
-    """Reference s and V with the QR taken by np.linalg.qr(mode="r"), which
-    works on its own copy: the leading blocks stacked and factored, the
-    later ones folded by dtpqrt, zero rows padded under a wide input."""
-    stacked, rows, R = [], 0, None
+def _fold_path(blocks):
+    """Reference s and V: every chunk of at most 1024 rows folded by
+    SciPy's f2py dtpqrt into an n x n zero triangle, then NumPy's SVD,
+    with s zeroed past the k rows of the input."""
+    R, k = None, 0
     for block in blocks:
         block = block.toarray() if sp.issparse(block) else np.array(block)
         n = block.shape[1]
-        if R is not None:
+        if R is None:
+            R = np.zeros((n, n))
+        for start in range(0, len(block), 1024):
             R = scipy.linalg.lapack.dtpqrt(
-                0, min(lsbe.core._TPQRT_NB, n), R, block)[0]
-            continue
-        stacked.append(block)
-        rows += len(block)
-        if rows > n:
-            R = np.linalg.qr(np.vstack(stacked), mode="r")
-    if R is None:
-        R = np.vstack(stacked + [np.zeros((max(n - rows, 0), n))])
+                0, min(lsbe.core._TPQRT_NB, n), R,
+                block[start:start + 1024])[0]
+        k += len(block)
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    s[k:] = 0.0
     return s, Vt.T
 
 
@@ -498,7 +535,7 @@ def check_in_place_qr_bit_identical():
                                         seed=11)))
     for A, S in cases:
         kwf = kw_factorization(A, sketch=S)
-        s, V = _numpy_qr_path([A] if S is None else S.row_blocks(A))
+        s, V = _fold_path([A] if S is None else S.row_blocks(A))
         assert np.array_equal(kwf.singular_values, s)
         assert np.array_equal(kwf.right_vectors, V)
 
@@ -534,10 +571,12 @@ def _run_with_one_blas_thread(check: str) -> None:
 
 
 def test_in_place_qr_bit_identical_to_numpy_qr():
-    # NumPy and SciPy link separate OpenBLAS builds.  With one BLAS thread
-    # their QRs agree bit for bit (so traces do not move); with more they
-    # split the work differently and may differ in the last bit, so the
-    # check runs in a child process pinned to one thread.
+    # The QR is a fold of 1024-row chunks into a zero triangle, bit for
+    # bit SciPy's f2py dtpqrt.  The reference SVD is NumPy's, and NumPy and
+    # SciPy link separate OpenBLAS builds: with one BLAS thread their SVDs
+    # agree bit for bit; with more they split the work differently and may
+    # differ in the last bit, so the check runs in a child process pinned
+    # to one thread.
     _run_with_one_blas_thread("check_in_place_qr_bit_identical")
 
 

@@ -7,10 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import lsbe.sketch
 from lsbe.errors import RankDeficient, ShapeMismatch
-from lsbe.sketch import (SketchOperator, _add_sparse_product,
-                         _sparse_sign_matrix, apply_sketch,
+from lsbe.sketch import (SketchOperator, _sparse_sign_matrix, apply_sketch,
                          measure_distortion, sketch_rows)
 
 pytestmark = pytest.mark.threaded_blas
@@ -23,6 +21,11 @@ def test_identity_bitwise(rng):
     assert np.array_equal(out, V)
     out[0, 0] = 99.0  # the returned array must be a copy
     assert V[0, 0] != 99.0
+    # A sparse V streams as itself, and apply_sketch still returns it dense.
+    V = sp.csc_matrix(V)
+    assert next(S.row_blocks(V)) is V
+    out = apply_sketch(S, V)
+    assert isinstance(out, np.ndarray) and np.array_equal(out, V.toarray())
 
 
 def test_shape_mismatch(rng):
@@ -159,10 +162,8 @@ def _gaussian_piece_loop(S, V):
     """The Gaussian apply on one thread, piece by piece: the transposed
     draw of each block taken 1024 of its rows at a time from the SFC64
     generator and scaled, and the products of the pieces with their rows
-    of V summed into the block in piece order.  SciPy's kernel adds a
-    sparse V's entries into a row of the block one by one, in the order of
-    V's rows, so that product is one whole-block product with V's indices
-    sorted."""
+    of V, SciPy's and NumPy's public products, summed into the block in
+    piece order."""
     squeeze = False
     if not sp.issparse(V):
         V = np.asarray(V, dtype=float)
@@ -171,19 +172,18 @@ def _gaussian_piece_loop(S, V):
     rng = np.random.Generator(np.random.SFC64(S.seed))
     scale = 1.0 / np.sqrt(S.rows)
     if sp.issparse(V):
-        V = sp.csc_matrix(V).sorted_indices()
+        V = sp.csr_matrix(V)
     out = np.empty((S.rows, V.shape[1]))
     for start in range(0, S.rows, 256):
         stop = min(start + 256, S.rows)
-        pieces = [rng.standard_normal((min(1024, S.cols - lo), stop - start))
-                  * scale for lo in range(0, S.cols, 1024)]
-        if sp.issparse(V):
-            out[start:stop] = (V.T @ np.vstack(pieces)).T
-        else:
-            block = pieces[0].T @ V[:1024]
-            for i, piece in enumerate(pieces[1:], 1):
-                block += piece.T @ V[1024 * i:1024 * (i + 1)]
-            out[start:stop] = block
+        block = 0.0
+        for lo in range(0, S.cols, 1024):
+            piece = rng.standard_normal(
+                (min(1024, S.cols - lo), stop - start)) * scale
+            part = V[lo:lo + 1024]
+            block = block + (
+                (part.T @ piece).T if sp.issparse(V) else piece.T @ part)
+        out[start:stop] = block
     return out[:, 0] if squeeze else out
 
 
@@ -218,12 +218,13 @@ def test_gaussian_pieces_equal_piece_loop(form, rows):
 @pytest.mark.parametrize("form", ["sorted csc", "csr"])
 def test_gaussian_pieces_of_sorted_sparse_input_equal_whole_blocks(form):
     # A CSR V, and a CSC V whose row indices are sorted (as load_matrix
-    # returns it), give the whole-block product bit for bit: the kernel
-    # adds their entries into each row of the block in the same order.
+    # returns it), give the whole-block product to within the rounding of
+    # the piece sums: each piece's product is rounded before it is added.
     V = _piece_inputs(2600)["csc"]
     V = V.sorted_indices() if form == "sorted csc" else V.tocsr()
     S = SketchOperator(kind="gaussian", rows=700, cols=2600, seed=4)
-    assert np.array_equal(apply_sketch(S, V), _gaussian_block_loop(S, V))
+    assert np.allclose(apply_sketch(S, V), _gaussian_block_loop(S, V),
+                       rtol=0, atol=1e-13)
 
 
 def test_gaussian_pieces_leave_S_unchanged():
@@ -277,7 +278,7 @@ def _draw_threads():
             if t.name.startswith("lsbe-sketch-draw")]
 
 
-def test_closing_mid_stream_leaves_no_draw_thread(monkeypatch):
+def test_closing_mid_stream_leaves_no_draw_thread():
     # Four blocks of three pieces through a ring of four, one block ahead:
     # after the first block the ring holds draws of the next two blocks.
     V = _piece_inputs(2600)["csc"]
@@ -289,42 +290,20 @@ def test_closing_mid_stream_leaves_no_draw_thread(monkeypatch):
     blocks.close()
     assert not _draw_threads()
 
-    # A product that fails inside a block, with draws pending.
+    # A product that fails inside a block, with draws pending: V is read
+    # as CSR, and each piece's product takes a slice of its rows.
     calls = []
 
-    def failing_add(*args):
-        calls.append(args)
-        if len(calls) == 3:  # the second piece of the second block
-            raise RuntimeError("product failed")
-    monkeypatch.setattr(lsbe.sketch, "_add_sparse_product", failing_add)
+    class FailingRows(sp.csr_matrix):
+        def __getitem__(self, key):
+            calls.append(key)
+            if len(calls) == 5:  # the second piece of the second block
+                raise RuntimeError("product failed")
+            return super().__getitem__(key)
     with pytest.raises(RuntimeError, match="product failed"):
-        apply_sketch(S, V)
+        apply_sketch(S, FailingRows(V))
+    assert len(calls) == 5
     assert not _draw_threads()
-
-
-def test_add_sparse_product_is_scipys_kernel_in_place(rng):
-    # _add_sparse_product calls SciPy's private csc_matvecs on a CSR P's
-    # arrays, the kernel behind P.T @ X: into zeros it gives P.T @ X bit
-    # for bit, and into out it adds in place.
-    P = sp.random(70, 40, density=0.1, format="csr", random_state=1)
-    X = rng.standard_normal((70, 6))
-    out = np.zeros((40, 6))
-    _add_sparse_product(out, P, X)
-    assert np.array_equal(out, P.T @ X)
-    before = rng.standard_normal((40, 6))
-    out = before.copy()
-    _add_sparse_product(out, P, X)
-    assert np.allclose(out, before + P.T @ X, rtol=1e-15, atol=1e-15)
-    for bad_P, bad_out, bad_X, message in (
-            (P.tocsc(), np.zeros((40, 6)), X, "CSR P"),
-            (P, np.zeros((40, 6)), X[:69], "CSR P"),
-            (P, np.zeros((41, 6)), X, "CSR P"),
-            (P, np.zeros((6, 40)).T, X, "C-contiguous"),
-            (P, np.zeros((40, 6), np.float32), X, "C-contiguous"),
-            (P, np.zeros((40, 6)), np.asfortranarray(X), "C-contiguous")):
-        with pytest.raises(ValueError, match=message):
-            _add_sparse_product(bad_out, bad_P, bad_X)
-
 
 
 @pytest.mark.parametrize("kind", ["sparse_sign", "identity", "synthetic_eta"])
