@@ -46,8 +46,9 @@ def run(argv=None) -> int:
     parser.add_argument("--estimate-every", type=int, default=1)
     parser.add_argument("--refine-steps", type=int, default=1)
     parser.add_argument("--true-mu", action="store_true",
-                        help="add the exact backward error column "
-                             "(dense SVD of A; desk scale only)")
+                        help="add the exact backward error column (A "
+                             "factored once, a chunk of rows dense at a "
+                             "time, then O(nnz + n^2) per row)")
     args = parser.parse_args(argv)
 
     os.makedirs(args.outdir, exist_ok=True)

@@ -20,7 +20,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 
-from .errors import DimensionMismatch, RankDeficient, ShiftNotPD
+from .errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
+                     ShiftNotPD)
 
 # Numerical-rank threshold relative to the largest singular value.  Matches
 # the backward error of a double-precision factorization.
@@ -324,33 +325,35 @@ def kw_factorization(M, sketch=None) -> KWFactorization:
     the traced peak is 13.2 MB at k = 20000 and 13.5 MB at k = 80000 (82.4
     and 328.2 MB when each block was drawn whole).  A
     sketch whose S M is one block of at most 1024 rows takes exactly the
-    path of kw_factorization(apply_sketch(sketch, M)).
+    path of kw_factorization(apply_sketch(sketch, M)).  The identity
+    sketch is the exact factor (distortion 0): once the rows of M are
+    checked against it, M is factored as with sketch=None, bit for bit,
+    and a dense M is not copied.
 
-    Inside a _factorizations pool, the SVD waits for the other
-    factorization's SVD to finish, so the two never run at once.
+    The SVDs of all kw_factorization calls in the process take turns on
+    one lock, so two threads factoring at once (the _factorizations
+    pool) never hold two SVD workspaces together; a lone call never
+    waits.
     """
-    if sketch is None:
+    if sketch is None or sketch.kind == "identity":
         M = M if is_sparse(M) else np.asarray(M, dtype=float)
         k = M.shape[0]
+        if sketch is not None and k != sketch.cols:
+            raise ShapeMismatch(
+                f"sketch expects {sketch.cols} rows, input has {k}")
         R = _triangular_factor([M], owned=False)
     else:
         k = sketch.rows
         with contextlib.closing(sketch.row_blocks(M)) as blocks:
             R = _triangular_factor(blocks, owned=True)
-    with getattr(_svd_turns, "lock", contextlib.nullcontext()):
+    with _SVD_TURNS:
         s, Vt = _svd(R)
     s[k:] = 0.0  # M'M has rank at most k
     return KWFactorization(singular_values=s, right_vectors=Vt.T)
 
 
-# Per-thread: the lock that the SVDs of one _factorizations pool share.
-_svd_turns = threading.local()
-
-
-def take_svd_turns(lock) -> None:
-    """Make every later kw_factorization on this thread hold lock for its
-    SVD (a ThreadPoolExecutor initializer)."""
-    _svd_turns.lock = lock
+# Held by kw_factorization for its SVD: one SVD at a time in the process.
+_SVD_TURNS = threading.Lock()
 
 
 # Block size of the compact WY representation inside dtpqrt and
@@ -384,32 +387,6 @@ _dtpqrt = _lapack_function("dtpqrt", _INT, _INT, _INT, _INT, _ARRAY, _INT,
 _dgesdd = _lapack_function("dgesdd", ctypes.c_char_p, _INT, _INT, _ARRAY,
                            _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY,
                            _INT, _ARRAY, _INT)
-# _svd's dgesdd arguments that never change.  LAPACK only reads them, so
-# every thread passes the same objects.
-_JOBZ_O = ctypes.c_char_p(b"O")
-_ONE = ctypes.byref(ctypes.c_int(1))
-_QUERY = ctypes.byref(ctypes.c_int(-1))
-# Per order n: (n, lwork) as dgesdd arguments, and lwork as an int.
-_gesdd_sizes = {}
-
-
-def _gesdd_arguments(n: int):
-    """n, lwork (both as dgesdd arguments) and lwork for _svd on an n x n
-    R.  lwork is the workspace query's answer, asked once per n: the
-    query is deterministic, and its size is the one to pass, since it sets
-    the blocking of the bidiagonal reduction and so the bits."""
-    if n not in _gesdd_sizes:
-        order = ctypes.byref(ctypes.c_int(n))
-        size, info = np.empty(1), ctypes.c_int()
-        # A query reads none of the arrays.
-        _dgesdd(_JOBZ_O, order, order, None, order, None, None, _ONE, None,
-                order, size.ctypes.data, _QUERY, None, ctypes.byref(info))
-        if info.value != 0:
-            raise np.linalg.LinAlgError(
-                f"dgesdd workspace query failed (info {info.value})")
-        lwork = int(size[0])
-        _gesdd_sizes[n] = order, ctypes.byref(ctypes.c_int(lwork)), lwork
-    return _gesdd_sizes[n]
 
 
 def _svd(R):
@@ -419,8 +396,9 @@ def _svd(R):
     Bit for bit np.linalg.svd(R, full_matrices=False)'s s and V' with one
     BLAS thread, V' C-ordered as NumPy returns it: KWFactorization keeps
     V'.T, whose order sets the summation order of every later product with
-    it.  A NaN in R raises LinAlgError (info -4), as NumPy does; info > 0
-    means no convergence."""
+    it.  The workspace is sized by a dgesdd query on every call.  A NaN in
+    R raises LinAlgError (info -4), as NumPy does; info > 0 means no
+    convergence."""
     # NumPy's SVD copies R and forms U twice beside its workspace: about
     # 7n^2 floats, 58 MB at n = 1019.  Here only V' (n^2), the workspace
     # (4n^2 + O(n)) and IWORK (8n ints) are new, about 5n^2 floats.  A
@@ -433,15 +411,24 @@ def _svd(R):
     if not (R.shape == (n, n) and R.dtype == np.float64
             and R.flags.f_contiguous):
         raise ValueError("_svd needs a Fortran-contiguous float64 n x n R")
-    order, lwork_arg, lwork = _gesdd_arguments(n)
+    order, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int()
+    size = np.empty(1)
+    # The query (lwork = -1) reads none of the arrays.  Its size is the one
+    # to pass: it sets the blocking of the bidiagonal reduction, and so the
+    # bits.
+    _dgesdd(b"O", order, order, None, order, None, None, one, None, order,
+            size.ctypes.data, ctypes.c_int(-1), None, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(
+            f"dgesdd workspace query failed (info {info.value})")
+    lwork = int(size[0])
     s = np.empty(n)
     vt = np.empty((n, n), order="F")
     work = np.empty(lwork + 4 * n)  # IWORK's 8n ints follow the workspace
     address = work.ctypes.data
-    info = ctypes.c_int()
     # U is R itself (JOBZ='O', m >= n), so the u argument is never read.
-    _dgesdd(_JOBZ_O, order, order, R.ctypes.data, order, s.ctypes.data,
-            None, _ONE, vt.ctypes.data, order, address, lwork_arg,
+    _dgesdd(b"O", order, order, R.ctypes.data, order, s.ctypes.data, None,
+            one, vt.ctypes.data, order, address, ctypes.c_int(lwork),
             address + 8 * lwork, ctypes.byref(info))
     del work
     if info.value != 0:

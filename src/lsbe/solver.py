@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -20,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (KWFactorization, MatrixOperator, is_sparse,
-                   kw_factorization, take_svd_turns, theta_scale)
+                   kw_factorization, theta_scale)
 from .errors import DimensionMismatch, NoConvergence, ShiftNotPD
 from .estimates import (RecycledDirection, _shifts, lb_direction, lb_refine,
                         mu_rank_one, pair_basis, sketched_kw, ub_deflation,
@@ -731,19 +730,24 @@ def _factorizations(A, sketch, exact: bool):
     """Yield futures (kwf, exact): kw_factorization(A, sketch=sketch) and,
     when exact is true, kw_factorization(A) (else None), computed on the
     one two-worker lsbe-factor pool of lsbe estimate, lsbe solve and the
-    trace criterion.  Their streamed QRs (dtpqrt folds) and their SVDs
-    release the interpreter lock, so on two free cores the QRs overlap.
-    The SVDs take turns on a lock of this call's own, so the pool never
-    holds two SVD workspaces at once.  Leaving the block waits for both,
-    even on an error or an interrupt."""
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="lsbe-factor",
-                            initializer=take_svd_turns,
-                            initargs=(threading.Lock(),)) as pool:
-        # The order does not matter: with a sparse-sign 6n sketch the pair
-        # on the stand-in took 1.77 s with A first and 1.81 s with the
-        # sketch first (medians of 8, one BLAS thread).
-        exact = pool.submit(kw_factorization, A) if exact else None
-        yield pool.submit(kw_factorization, A, sketch=sketch), exact
+    trace criterion.  The identity sketch is the exact factor, so then
+    one future of kw_factorization(A) is both.  The streamed QRs (dtpqrt
+    folds) and the SVDs release the interpreter lock, so on two free
+    cores the QRs overlap; the SVDs take turns on kw_factorization's
+    process-wide lock, so the pool never holds two SVD workspaces at
+    once.  Leaving the block waits for both, even on an error or an
+    interrupt."""
+    with ThreadPoolExecutor(max_workers=2,
+                            thread_name_prefix="lsbe-factor") as pool:
+        if exact and sketch.kind == "identity":
+            kwf = exact = pool.submit(kw_factorization, A)
+        else:
+            # The order does not matter: with a sparse-sign 6n sketch the
+            # pair on the stand-in took 1.77 s with A first and 1.81 s
+            # with the sketch first (medians of 8, one BLAS thread).
+            exact = pool.submit(kw_factorization, A) if exact else None
+            kwf = pool.submit(kw_factorization, A, sketch=sketch)
+        yield kwf, exact
 
 
 def _traced_run(A, config: SolverConfig, sketch, b=None, seed: int = 0):

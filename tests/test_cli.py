@@ -222,11 +222,10 @@ def test_estimate_mu_est_above_sketch_limit_resets(capsys):
             fh.read().splitlines()
 
 
-def test_estimate_factors_A_once(capsys, monkeypatch):
-    # One factorization of A (nu and the fixed-point route) and one of the
-    # sketch, counted under every name an lsbe module binds it to and told
-    # apart by the shape of the factored matrix: A is 20 x 5, the 6n
-    # sketch SA (factored as kw_factorization(A, sketch=S)) is 30 x 5.
+def _count_factorizations(monkeypatch):
+    """The (rows, cols) of every matrix kw_factorization factors from now
+    on, counted under every name an lsbe module binds it to: rows are the
+    sketch's for kw_factorization(M, sketch=S)."""
     original = lsbe.core.kw_factorization
     calls = []
 
@@ -240,8 +239,29 @@ def test_estimate_factors_A_once(capsys, monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_estimate_factors_A_once(capsys, monkeypatch):
+    # One factorization of A (nu and the fixed-point route) and one of the
+    # sketch, told apart by the shape of the factored matrix: A is 20 x 5,
+    # the 6n sketch SA (factored as kw_factorization(A, sketch=S)) is
+    # 30 x 5.  The identity sketch is the exact factor, so with it A is
+    # factored once in all.
+    calls = _count_factorizations(monkeypatch)
     assert main(["estimate", TINY, *TINY_XB]) == 0
     assert sorted(calls) == [(20, 5), (30, 5)]
+    calls.clear()
+    assert main(["estimate", TINY, *TINY_XB, "--sketch", "identity"]) == 0
+    assert calls == [(20, 5)]
+
+
+def test_solve_identity_true_mu_factors_A_once(tmp_path, monkeypatch):
+    # The identity's factor is the one behind mu_true as well.
+    calls = _count_factorizations(monkeypatch)
+    assert main(["solve", TINY, "--out", str(tmp_path / "trace.csv"),
+                 "--sketch", "identity", "--true-mu", "on"]) == 0
+    assert calls == [(20, 5)]
 
 
 def test_solve_smoke_and_csv_schema(tmp_path):

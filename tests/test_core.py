@@ -17,7 +17,8 @@ from scipy.sparse.linalg import aslinearoperator
 import lsbe.core
 from lsbe import (LSProblem, MatrixOperator, compress_pair, kw_factorization,
                   mu_exact, weighted_residual)
-from lsbe.errors import DimensionMismatch, RankDeficient, ShiftNotPD
+from lsbe.errors import (DimensionMismatch, RankDeficient, ShapeMismatch,
+                         ShiftNotPD)
 from lsbe.sketch import SketchOperator, apply_sketch
 from lsbe.pencil import tr_minus
 
@@ -393,6 +394,46 @@ def test_identity_sketch_factorization_makes_no_dense_copy(rng):
     assert np.array_equal(kwf.right_vectors, direct.right_vectors)
 
 
+@pytest.mark.parametrize("form", ["C", "F", "csc", "csr", "wide"])
+def test_identity_sketch_is_the_exact_factor(rng, form):
+    # The identity is the exact factor: through it A is factored as
+    # kw_factorization(A) factors it, bit for bit, on a dense A in either
+    # order, a CSC or CSR one, and a wide one.
+    m, n = (30, 50) if form == "wide" else (600, 40)
+    A = _sketch_pair(rng, m, n, sparse=form in ("csc", "csr"))
+    if form == "F":
+        A = np.asfortranarray(A)
+    elif form == "csr":
+        A = A.tocsr()
+    S = SketchOperator(kind="identity", rows=m, cols=m)
+    got, direct = kw_factorization(A, sketch=S), kw_factorization(A)
+    assert np.array_equal(got.singular_values, direct.singular_values)
+    assert np.array_equal(got.right_vectors, direct.right_vectors)
+
+
+def test_identity_sketch_of_dense_A_makes_no_copy(rng):
+    # A dense A is factored in 1024-row chunks through the identity as it
+    # is without one: no copy of A (25.6 MB here) is made.
+    m, n = 20000, 160
+    A = _sketch_pair(rng, m, n, sparse=False)
+    peaks = []
+    for S in (SketchOperator(kind="identity", rows=m, cols=m), None):
+        tracemalloc.start()
+        try:
+            kw_factorization(A, sketch=S)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 1e6, peaks
+
+
+def test_identity_sketch_checks_the_rows_of_its_input():
+    S = SketchOperator(kind="identity", rows=5, cols=5)
+    with pytest.raises(ShapeMismatch,
+                       match="sketch expects 5 rows, input has 4"):
+        kw_factorization(np.ones((4, 2)), sketch=S)
+
+
 @pytest.mark.parametrize("form", ["dense", "csc", "gaussian"])
 def test_short_input_has_exact_zero_singular_values(rng, form):
     # M'M of a k x n M with k < n has rank at most k, so s[k:] is exactly
@@ -544,8 +585,9 @@ def check_svd_bit_identical():
     rng = np.random.default_rng(0xDECAF)
     triangles = [np.triu(rng.standard_normal((n, n)))
                  for n in (1, 2, 3, 5, 8, 40, 120, 400)]
-    # The zero-padded factors of k < n rows, and one of the stand-in's
-    # order, 1019, with singular values over three decades.
+    # The factors of k < n rows, folded from a zero triangle (s[k:] = 0),
+    # and one of the stand-in's order, 1019, with singular values over
+    # three decades.
     triangles += [lsbe.core._triangular_factor([M], owned=False) for M in (
         _sketch_pair(rng, 3, 5, sparse=False),
         _sketch_pair(rng, 38, 40, sparse=False),

@@ -119,9 +119,9 @@ def test_kw_compressed_equals_uncompressed(rng):
 @pytest.mark.parametrize("k", [60, 9, 8, 5])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_kw_factorization_matches_uncompressed_svd(rng, k, sparse):
-    # Tall (QR-compressed), one extra row, square and wide (zero-padded)
-    # inputs with distinct singular values give the singular values and
-    # right vectors of the direct SVD of M.
+    # Tall (QR-compressed), one extra row, square and wide (folded from a
+    # zero triangle, s[k:] = 0) inputs with distinct singular values give
+    # the singular values and right vectors of the direct SVD of M.
     n = 8
     r = min(k, n)
     s_true = np.linspace(2.0, 0.5, r)

@@ -792,15 +792,18 @@ def test_ready_factorizations_land_at_iteration_zero(rng):
 
 @pytest.mark.threaded_blas
 @pytest.mark.parametrize("kind, rows", [("sparse_sign", 900),
-                                        ("gaussian", 900)])
+                                        ("gaussian", 900),
+                                        ("identity", 2000)])
 def test_factorizations_match_sequential_calls(rng, kind, rows):
     # The pool's results are bit for bit the calls' own, and the pool is
     # gone once the block is left.  A Gaussian sketch of 900 rows streams
-    # in four blocks, drawn on a helper thread of its own.
+    # in four blocks, drawn on a helper thread of its own.  The identity
+    # is the exact factor: one future is both, A factored once.
     A, _ = _pool_pair(rng)
     S = SketchOperator(kind=kind, rows=rows, cols=2000, seed=4)
     with lsbe.solver._factorizations(A, S, exact=True) as futures:
         got = [f.result() for f in futures]
+    assert (futures[0] is futures[1]) == (kind == "identity")
     assert not [t.name for t in threading.enumerate()
                 if t.name.startswith("lsbe-") and t.is_alive()]
     for kwf, ref in zip(got, (kw_factorization(A, sketch=S),
@@ -824,8 +827,8 @@ def _pool_pair(rng):
 @pytest.mark.threaded_blas
 def test_factorization_svds_take_turns(rng, monkeypatch):
     # Each SVD is held for 0.2 s, far longer than either QR, so two SVDs
-    # left to themselves would overlap; the pool's lock keeps one at a
-    # time.  Outside a pool an SVD takes no turn.
+    # left to themselves would overlap; kw_factorization's lock keeps one
+    # at a time, in the pool and on any two plain threads alike.
     A, S = _pool_pair(rng)
     svd, guard, running, seen = lsbe.core._svd, threading.Lock(), [0], []
 
@@ -844,7 +847,15 @@ def test_factorization_svds_take_turns(rng, monkeypatch):
         for future in futures:
             future.result()
     assert seen == [1, 1]
-    assert not hasattr(lsbe.core._svd_turns, "lock")
+    seen.clear()
+    threads = [threading.Thread(target=kw_factorization, args=(A,))
+               for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert seen == [1, 1]
 
 
 @pytest.mark.threaded_blas
